@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -63,36 +64,44 @@ def write_entries(path, entries) -> None:
 
 
 def read_entries(path):
+    """Parse every entry; a short or overlong file raises ConfigError, not a struct error."""
     data = Path(path).read_bytes()
-    if data[:4] != MAGIC:
-        raise ConfigError(f"{path}: not a checkpoint (bad magic {data[:4]!r})")
-    (version,) = struct.unpack_from("<H", data, 4)
+    off = 0
+
+    def take(n: int) -> bytes:
+        nonlocal off
+        if off + n > len(data):
+            raise ConfigError(f"{path}: truncated checkpoint, needs {n} bytes at offset {off} of {len(data)}")
+        off += n
+        return data[off - n : off]
+
+    magic = take(4)
+    if magic != MAGIC:
+        raise ConfigError(f"{path}: not a checkpoint (bad magic {magic!r})")
+    (version,) = struct.unpack("<H", take(2))
     if version != FORMAT_VERSION:
         raise ConfigError(f"{path}: unsupported checkpoint format version {version}")
-    (count,) = struct.unpack_from("<I", data, 6)
-    off = 10
+    (count,) = struct.unpack("<I", take(4))
     entries = []
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", data, off)
-        off += 2
-        name = data[off : off + nlen].decode("utf-8")
-        off += nlen
-        kind, rank = struct.unpack_from("<BB", data, off)
-        off += 2
-        dims = struct.unpack_from(f"<{rank}I", data, off)
-        off += 4 * rank
-        size = int(np.prod(dims)) if rank else 1
+        (nlen,) = struct.unpack("<H", take(2))
+        try:
+            name = take(nlen).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path}: entry name at offset {off - nlen} is not UTF-8") from None
+        kind, rank = struct.unpack("<BB", take(2))
+        dims = struct.unpack(f"<{rank}I", take(4 * rank))
+        size = math.prod(dims)
         if kind == KIND_FLOAT:
-            nbytes = size * 4
-            arr = np.frombuffer(data, dtype="<f4", count=size, offset=off).reshape(dims).astype(np.float32)
+            arr = np.frombuffer(take(size * 4), dtype="<f4").reshape(dims).astype(np.float32)
         elif kind == KIND_MASK:
-            nbytes = (size + 7) // 8
-            packed = np.frombuffer(data, dtype=np.uint8, count=nbytes, offset=off)
+            packed = np.frombuffer(take((size + 7) // 8), dtype=np.uint8)
             arr = np.unpackbits(packed, count=size, bitorder="little").reshape(dims)
         else:
             raise ConfigError(f"{path}: unknown entry kind {kind}")
-        off += nbytes
         entries.append((name, kind, arr))
+    if off != len(data):
+        raise ConfigError(f"{path}: {len(data) - off} trailing bytes after the last entry")
     return entries
 
 
@@ -148,7 +157,10 @@ def load_model(path) -> tuple[NoisePredictor, NoiseSchedule, dict]:
         raise ConfigError(f"checkpoint not found: {ckpt_path}")
     if not meta_path.exists():
         raise ConfigError(f"checkpoint sidecar not found: {meta_path}")
-    meta = json.loads(meta_path.read_text())
+    try:
+        meta = json.loads(meta_path.read_text())
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{meta_path} is not valid JSON: {e}") from None
     if meta.get("format_version") != FORMAT_VERSION:
         raise ConfigError(f"{meta_path}: unsupported format version {meta.get('format_version')!r}")
     entries = {name: (kind, arr) for name, kind, arr in read_entries(ckpt_path)}

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,151 +40,125 @@ from .evalbench import (
 )
 from .rng import stream
 from .sparsity import NMPattern, is_transposable
-from .trainer import MaskSchedule, TeacherHandle, TrainConfig, prune_one_shot, train_dense, transfer_train
+from .trainer import LR_SCHEDULES, MaskSchedule, TrainConfig, prune_one_shot, train_dense, transfer_train
 
 METRIC_NAME = "energy_distance(FID proxy)"
 
-DEFAULTS = {
-    "train-dense": {
-        "data": "gauss8",
-        "steps": 2000,
-        "batch_size": 128,
-        "lr": 0.2,
-        "lr_schedule": "cosine",
-        "T": 100,
-        "beta_start": 1e-4,
-        "beta_end": 0.02,
-        "hidden": "128,128",
-        "seed": 0,
-    },
-    "prune": {"pattern": "2:4", "transposable": False, "strict": False, "seed": 0},
-    "train-sparse": {
-        "data": "gauss8",
-        "steps": 4000,
-        "batch_size": 128,
-        "lr": 0.05,
-        "lr_schedule": "cosine",
-        "lambda1": 0.5,
-        "lambda2": 0.5,
-        "lambda_w": 1e-4,
-        "pattern": None,
-        "progressive": None,
-        "switch_every": 1000,
-        "freeze_masks": False,
-        "teacher_bank": 2048,
-        "seed": 0,
-    },
-    "sample": {"n": 1000, "compressed": False, "svg": False, "seed": 0},
-    "eval": {"data": "gauss8", "n": 2000, "seed": 0},
-    "sweep": {
-        "data": "gauss8",
-        "steps": 2000,
-        "batch_size": 128,
-        "lr": 0.05,
-        "lr_schedule": "cosine",
-        "lambda1": 0.5,
-        "lambda2": 0.5,
-        "lambda_w": 1e-4,
-        "teacher_bank": 2048,
-        "n_eval": 2000,
-        "patterns": ",".join(str(p) for p in DEFAULT_SWEEP_PATTERNS),
-        "seed": 0,
-    },
-    "bench": {
-        "sizes": ",".join(f"{r}x{c}x{b}" for r, c, b in DEFAULT_BENCH_SIZES),
-        "reps": 5,
-        "seed": 0,
-    },
+
+@dataclass(frozen=True)
+class Opt:
+    """One option's value type, help text and allowed values; ``bool`` is an on/off flag."""
+
+    type: type
+    help: str | None = None
+    choices: tuple | None = None
+
+
+# Every option of every command, declared once; ``--batch-size`` sets batch_size.
+OPTIONS = {
+    "seed": Opt(int),
+    "data": Opt(str, choices=DATASETS),
+    "steps": Opt(int, "training steps, per pattern in a sweep"),
+    "batch_size": Opt(int),
+    "lr": Opt(float),
+    "lr_schedule": Opt(str, choices=LR_SCHEDULES),
+    "T": Opt(int),
+    "beta_start": Opt(float),
+    "beta_end": Opt(float),
+    "hidden": Opt(str, "comma list of hidden widths, e.g. 128,128"),
+    "pattern": Opt(str, "N:M pattern, e.g. 2:4; train-sparse defaults to the student's"),
+    "transposable": Opt(bool),
+    "strict": Opt(bool, "error instead of skipping layers the group size does not divide"),
+    "lambda1": Opt(float, "distillation loss weight"),
+    "lambda2": Opt(float, "noise-prediction loss weight"),
+    "lambda_w": Opt(float, "sparse-mask regularization strength"),
+    "teacher_bank": Opt(int, "teacher sample pool size"),
+    "progressive": Opt(str, "comma list of patterns, densest first"),
+    "switch_every": Opt(int, "steps between progressive switches"),
+    "freeze_masks": Opt(bool, "project masks only at schedule switches"),
+    "n": Opt(int),
+    "compressed": Opt(bool, "run 2:4 layers through the compressed kernel"),
+    "svg": Opt(bool, "also write a scatter plot"),
+    "n_eval": Opt(int),
+    "patterns": Opt(str, "comma list of N:M patterns"),
+    "sizes": Opt(str, "comma list of ROWSxCOLSxBATCH"),
+    "reps": Opt(int),
 }
+
+TRAIN = {"data": "gauss8", "steps": 2000, "batch_size": 128, "lr": 0.05, "lr_schedule": "cosine"}
+TRANSFER = {**TRAIN, "lambda1": 0.5, "lambda2": 0.5, "lambda_w": 1e-4, "teacher_bank": 2048}
+
+# per command: help, required path arguments as (name, help), and option defaults;
+# a None default means the option may be left unset
+FLAGS = {
+    "train-dense": (
+        "train a dense noise predictor on a toy dataset", (),
+        {**TRAIN, "lr": 0.2, "T": 100, "beta_start": 1e-4, "beta_end": 0.02, "hidden": "128,128"},
+    ),
+    "prune": (
+        "one-shot magnitude pruning of a checkpoint", (("ckpt", "run directory or model.ckpt path"),),
+        {"pattern": "2:4", "transposable": False, "strict": False},
+    ),
+    "train-sparse": (
+        "sparse STE training with dense-teacher transfer",
+        (("student", "pruned checkpoint to start from"), ("teacher", "dense checkpoint used for distillation")),
+        {**TRANSFER, "steps": 4000, "pattern": None, "progressive": None, "switch_every": 1000,
+         "freeze_masks": False},
+    ),
+    "sample": (
+        "ancestral sampling from a checkpoint", (("ckpt", None),),
+        {"n": 1000, "compressed": False, "svg": False},
+    ),
+    "eval": ("energy distance to data plus MACs accounting", (("ckpt", None),), {"data": "gauss8", "n": 2000}),
+    "sweep": (
+        "prune + transfer-train one student per keep ratio", (("ckpt", "dense teacher checkpoint"),),
+        {**TRANSFER, "n_eval": 2000, "patterns": ",".join(str(p) for p in DEFAULT_SWEEP_PATTERNS)},
+    ),
+    "bench": (
+        "compressed vs dense multiply micro-benchmark", (),
+        {"sizes": ",".join(f"{r}x{c}x{b}" for r, c, b in DEFAULT_BENCH_SIZES), "reps": 5},
+    ),
+}
+
+
+def _defaults(cmd: str) -> dict:
+    return {"seed": 0, **FLAGS[cmd][2]}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sparsedm", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    def common(p, needs_out=True):
+    for cmd, (text, paths, _) in FLAGS.items():
+        p = sub.add_parser(cmd, help=text)
         p.add_argument("--config", help="JSON file with defaults for this command")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", required=needs_out, help="output directory for this run")
-
-    p = sub.add_parser("train-dense", help="train a dense noise predictor on a toy dataset")
-    common(p)
-    p.add_argument("--data", choices=DATASETS, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--lr-schedule", choices=("constant", "cosine"), default=None)
-    p.add_argument("--T", type=int, default=None, dest="T")
-    p.add_argument("--beta-start", type=float, default=None)
-    p.add_argument("--beta-end", type=float, default=None)
-    p.add_argument("--hidden", default=None, help="comma list of hidden widths, e.g. 128,128")
-
-    p = sub.add_parser("prune", help="one-shot magnitude pruning of a checkpoint")
-    common(p)
-    p.add_argument("--ckpt", required=True, help="run directory or model.ckpt path")
-    p.add_argument("--pattern", default=None, help="N:M pattern, e.g. 2:4")
-    p.add_argument("--transposable", action="store_true", default=None)
-    p.add_argument("--strict", action="store_true", default=None,
-                   help="error instead of skipping layers the group size does not divide")
-
-    p = sub.add_parser("train-sparse", help="sparse STE training with dense-teacher transfer")
-    common(p)
-    p.add_argument("--student", required=True, help="pruned checkpoint to start from")
-    p.add_argument("--teacher", required=True, help="dense checkpoint used for distillation")
-    p.add_argument("--data", choices=DATASETS, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--lr-schedule", choices=("constant", "cosine"), default=None)
-    p.add_argument("--lambda1", type=float, default=None, help="distillation loss weight")
-    p.add_argument("--lambda2", type=float, default=None, help="noise-prediction loss weight")
-    p.add_argument("--lambda-w", type=float, default=None, help="sparse-mask regularization strength")
-    p.add_argument("--pattern", default=None, help="fixed pattern; defaults to the student's")
-    p.add_argument("--progressive", default=None, help="comma list of patterns, densest first")
-    p.add_argument("--switch-every", type=int, default=None, help="steps between progressive switches")
-    p.add_argument("--freeze-masks", action="store_true", default=None,
-                   help="project masks only at schedule switches")
-    p.add_argument("--teacher-bank", type=int, default=None, help="teacher sample pool size")
-
-    p = sub.add_parser("sample", help="ancestral sampling from a checkpoint")
-    common(p)
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--compressed", action="store_true", default=None,
-                   help="run 2:4 layers through the compressed kernel")
-    p.add_argument("--svg", action="store_true", default=None, help="also write a scatter plot")
-
-    p = sub.add_parser("eval", help="energy distance to data plus MACs accounting")
-    common(p)
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--data", choices=DATASETS, default=None)
-    p.add_argument("--n", type=int, default=None)
-
-    p = sub.add_parser("sweep", help="prune + transfer-train one student per keep ratio")
-    common(p)
-    p.add_argument("--ckpt", required=True, help="dense teacher checkpoint")
-    p.add_argument("--data", choices=DATASETS, default=None)
-    p.add_argument("--steps", type=int, default=None, help="transfer budget per pattern")
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--lr-schedule", choices=("constant", "cosine"), default=None)
-    p.add_argument("--lambda1", type=float, default=None)
-    p.add_argument("--lambda2", type=float, default=None)
-    p.add_argument("--lambda-w", type=float, default=None)
-    p.add_argument("--teacher-bank", type=int, default=None)
-    p.add_argument("--n-eval", type=int, default=None)
-    p.add_argument("--patterns", default=None, help="comma list of N:M patterns")
-
-    p = sub.add_parser("bench", help="compressed vs dense multiply micro-benchmark")
-    common(p)
-    p.add_argument("--sizes", default=None, help="comma list of ROWSxCOLSxBATCH")
-    p.add_argument("--reps", type=int, default=None)
-
+        p.add_argument("--out", required=True, help="output directory for this run")
+        for name, path_help in paths:
+            p.add_argument(f"--{name}", required=True, help=path_help)
+        # every option defaults to None so the merge can tell which flags were given
+        for name in _defaults(cmd):
+            opt = OPTIONS[name]
+            flag = "--" + name.replace("_", "-")
+            if opt.type is bool:
+                p.add_argument(flag, action="store_true", default=None, help=opt.help)
+            else:
+                p.add_argument(flag, type=opt.type, choices=opt.choices, help=opt.help)
     return parser
 
 
+def _check_value(key: str, value, default) -> None:
+    """A config-file value must have its option's type; ints pass as floats, bools never as ints."""
+    if value is None and default is None:
+        return
+    opt = OPTIONS[key]
+    if not (type(value) is opt.type or (opt.type is float and type(value) is int)):
+        raise ConfigError(f"config key {key!r} must be a {opt.type.__name__}, got {value!r}")
+    if opt.choices and value not in opt.choices:
+        raise ConfigError(f"config key {key!r} must be one of {list(opt.choices)}, got {value!r}")
+
+
 def _merge_config(cmd: str, args: argparse.Namespace) -> dict:
-    cfg = dict(DEFAULTS[cmd])
+    """Defaults, then the config file's checked values, then explicit flags."""
+    cfg = _defaults(cmd)
     if args.config:
         path = Path(args.config)
         if not path.exists():
@@ -194,19 +169,16 @@ def _merge_config(cmd: str, args: argparse.Namespace) -> dict:
             raise ConfigError(f"config file {path} is not valid JSON: {e}") from None
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
-        unknown = set(loaded) - set(cfg) - {"seed"}
+        unknown = set(loaded) - set(cfg)
         if unknown:
             raise ConfigError(f"unknown config keys for {cmd}: {sorted(unknown)}")
+        for key, value in loaded.items():
+            _check_value(key, value, cfg[key])
         cfg.update(loaded)
-    cfg.setdefault("seed", 0)
     for key in cfg:
-        flag = getattr(args, key, None)
+        flag = getattr(args, key)
         if flag is not None:
             cfg[key] = flag
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if not isinstance(cfg["seed"], int):
-        raise ConfigError(f"seed must be an integer, got {cfg['seed']!r}")
     return cfg
 
 
@@ -235,7 +207,7 @@ def _write_trace(path: Path, records) -> None:
 
 def _parse_hidden(text: str) -> tuple[int, ...]:
     try:
-        dims = tuple(int(x) for x in str(text).split(",") if x != "")
+        dims = tuple(int(x) for x in text.split(",") if x != "")
     except ValueError:
         raise ConfigError(f"bad hidden widths {text!r}") from None
     if not dims or any(d < 1 for d in dims):
@@ -244,15 +216,9 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
 
 
 def _train_config(cfg: dict, **overrides) -> TrainConfig:
-    base = dict(
-        steps=cfg["steps"],
-        batch_size=cfg["batch_size"],
-        lr=cfg["lr"],
-        lr_schedule=cfg["lr_schedule"],
-        seed=cfg["seed"],
-    )
-    base.update(overrides)
-    return TrainConfig(**base).validate()
+    """TrainConfig from the command's options that name one of its fields."""
+    known = {k: v for k, v in cfg.items() if k in TrainConfig.__dataclass_fields__}
+    return TrainConfig(**known, **overrides).validate()
 
 
 def _write_samples_csv(path: Path, pts: np.ndarray) -> None:
@@ -292,7 +258,7 @@ def _write_scatter_svg(path: Path, pts: np.ndarray, size: int = 440, margin: int
 def cmd_train_dense(args) -> int:
     cfg = _merge_config("train-dense", args)
     out = _out_dir(args)
-    sched = make_schedule(int(cfg["T"]), float(cfg["beta_start"]), float(cfg["beta_end"]))
+    sched = make_schedule(cfg["T"], cfg["beta_start"], cfg["beta_end"])
     dataset = ToyDataset(cfg["data"])
     config = _train_config(cfg)
     hidden = _parse_hidden(cfg["hidden"])
@@ -310,10 +276,10 @@ def cmd_train_dense(args) -> int:
 def cmd_prune(args) -> int:
     cfg = _merge_config("prune", args)
     out = _out_dir(args)
-    pattern = NMPattern.parse(str(cfg["pattern"]))
+    pattern = NMPattern.parse(cfg["pattern"])
     model, sched, meta = ckpt.load_model(args.ckpt)
     _echo_config(out, "prune", cfg)
-    prune_one_shot(model, pattern, transposable=bool(cfg["transposable"]), strict=bool(cfg["strict"]))
+    prune_one_shot(model, pattern, transposable=cfg["transposable"], strict=cfg["strict"])
     for layer in model.layers:
         if layer.pattern is None:
             print(f"{layer.name}: dense (input width {layer.in_features} "
@@ -321,7 +287,7 @@ def cmd_prune(args) -> int:
         else:
             zeros = float((layer.mask.bits == 0).mean())
             extra = ""
-            if bool(cfg["transposable"]) and layer.out_features % pattern.m == 0 and (pattern.n, pattern.m) == (2, 4):
+            if cfg["transposable"] and layer.out_features % pattern.m == 0 and (pattern.n, pattern.m) == (2, 4):
                 extra = ", transposable" if is_transposable(layer.mask, pattern) else ""
             print(f"{layer.name}: pattern {layer.pattern} sparsity {zeros:.3f}{extra}")
     ckpt.save_model(out, model, sched, meta.get("seed", cfg["seed"]), extra={"label": f"pruned-{pattern}"})
@@ -331,10 +297,10 @@ def cmd_prune(args) -> int:
 
 def _build_schedule(cfg: dict, student: NoisePredictor, steps: int) -> MaskSchedule:
     if cfg.get("progressive"):
-        patterns = [NMPattern.parse(p) for p in str(cfg["progressive"]).split(",") if p]
-        return MaskSchedule.progressive(patterns, steps, int(cfg["switch_every"]))
+        patterns = [NMPattern.parse(p) for p in cfg["progressive"].split(",") if p]
+        return MaskSchedule.progressive(patterns, steps, cfg["switch_every"])
     if cfg.get("pattern"):
-        return MaskSchedule.fixed(NMPattern.parse(str(cfg["pattern"])), steps)
+        return MaskSchedule.fixed(NMPattern.parse(cfg["pattern"]), steps)
     recorded = [l.pattern for l in student.layers if l.pattern is not None]
     if not recorded:
         raise ConfigError("student checkpoint is dense; pass --pattern or --progressive")
@@ -349,17 +315,10 @@ def cmd_train_sparse(args) -> int:
     if t_sched.T != sched.T:
         raise ConfigError(f"student schedule T={sched.T} differs from teacher T={t_sched.T}")
     dataset = ToyDataset(cfg["data"])
-    config = _train_config(
-        cfg,
-        lambda_w=float(cfg["lambda_w"]),
-        lambda1=float(cfg["lambda1"]),
-        lambda2=float(cfg["lambda2"]),
-        mask_refresh=0 if cfg["freeze_masks"] else 1,
-        teacher_bank=int(cfg["teacher_bank"]),
-    )
+    config = _train_config(cfg, mask_refresh=0 if cfg["freeze_masks"] else 1)
     schedule = _build_schedule(cfg, student, config.steps)
     _echo_config(out, "train-sparse", cfg)
-    student, trace = transfer_train(student, TeacherHandle(teacher), dataset, sched, config, schedule)
+    student, trace = transfer_train(student, teacher, dataset, sched, config, schedule)
     label = "ste-baseline" if config.lambda1 == 0.0 else "transfer"
     ckpt.save_model(out, student, sched, cfg["seed"], extra={"label": label})
     _write_trace(out / "trace.jsonl", trace)
@@ -374,14 +333,14 @@ def cmd_sample(args) -> int:
     cfg = _merge_config("sample", args)
     out = _out_dir(args)
     model, sched, _ = ckpt.load_model(args.ckpt)
-    compressed = bool(cfg["compressed"])
+    compressed = cfg["compressed"]
     if compressed:
         masked = [l for l in model.layers if l.pattern is not None]
         if not masked or any((l.pattern.n, l.pattern.m) != (2, 4) for l in masked):
             raise CompressedPathError(
                 "--compressed needs a 2:4 checkpoint; prune to 2:4 first"
             )
-    n = int(cfg["n"])
+    n = cfg["n"]
     if n < 1:
         raise ConfigError(f"sample count must be >= 1, got {n}")
     _echo_config(out, "sample", cfg)
@@ -398,7 +357,7 @@ def cmd_eval(args) -> int:
     out = _out_dir(args)
     model, sched, _ = ckpt.load_model(args.ckpt)
     dataset = ToyDataset(cfg["data"])
-    n = int(cfg["n"])
+    n = cfg["n"]
     if n < 2:
         raise ConfigError(f"eval needs n >= 2, got {n}")
     _echo_config(out, "eval", cfg)
@@ -426,16 +385,10 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args)
     teacher, sched, _ = ckpt.load_model(args.ckpt)
     dataset = ToyDataset(cfg["data"])
-    patterns = [NMPattern.parse(p) for p in str(cfg["patterns"]).split(",") if p]
-    config = _train_config(
-        cfg,
-        lambda_w=float(cfg["lambda_w"]),
-        lambda1=float(cfg["lambda1"]),
-        lambda2=float(cfg["lambda2"]),
-        teacher_bank=int(cfg["teacher_bank"]),
-    )
+    patterns = [NMPattern.parse(p) for p in cfg["patterns"].split(",") if p]
+    config = _train_config(cfg)
     _echo_config(out, "sweep", cfg)
-    rows = sweep_ratios(teacher, patterns, dataset, sched, config, n_eval=int(cfg["n_eval"]))
+    rows = sweep_ratios(teacher, patterns, dataset, sched, config, n_eval=cfg["n_eval"])
     write_sweep_csv(rows, out / "sweep.csv")
     for r in rows:
         print(f"{r['pattern']:>6}  sparsity {r['sparsity']:.5f}  "
@@ -446,7 +399,7 @@ def cmd_sweep(args) -> int:
 
 def _parse_sizes(text: str):
     sizes = []
-    for part in str(text).split(","):
+    for part in text.split(","):
         if not part:
             continue
         bits = part.lower().split("x")
@@ -465,9 +418,8 @@ def cmd_bench(args) -> int:
     cfg = _merge_config("bench", args)
     out = _out_dir(args)
     sizes = _parse_sizes(cfg["sizes"])
-    reps = int(cfg["reps"])
     _echo_config(out, "bench", cfg)
-    records = bench_spmm(sizes, reps=reps, seed=cfg["seed"])
+    records = bench_spmm(sizes, reps=cfg["reps"], seed=cfg["seed"])
     write_bench_csv(records, out / "bench.csv")
     for r in records:
         print(f"{r.rows}x{r.cols} batch {r.batch}: dense {r.t_dense_ns} ns, "
@@ -475,6 +427,18 @@ def cmd_bench(args) -> int:
     print(f"wrote {out / 'bench.csv'}")
     return 0
 
+
+# the documented exit code of each typed error
+EXIT_CODES = (
+    (ConfigError, 2),
+    (PatternError, 3),
+    (CompressionError, 3),
+    (DimensionError, 3),
+    (ArchitectureError, 4),
+    (CompressedPathError, 5),
+    (TrainingError, 1),
+    (OSError, 2),
+)
 
 COMMANDS = {
     "train-dense": cmd_train_dense,
@@ -495,24 +459,9 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return COMMANDS[args.cmd](args)
-    except ConfigError as e:
+    except tuple(kind for kind, _ in EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (PatternError, CompressionError, DimensionError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except ArchitectureError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except CompressedPathError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 5
-    except TrainingError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in EXIT_CODES if isinstance(e, kind))
 
 
 def entrypoint() -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArchitectureError, ConfigError, DimensionError
-from .sparsity import MaskedLinear, compress_2_4, masked_linear_forward, spmm
+from .sparsity import CompressedLinear, MaskedLinear, NMPattern, masked_linear_forward
 from .tensor import Tape, Tensor, mse_loss, silu
 
 DATA_DIM = 2
@@ -97,7 +97,7 @@ def time_embedding(t, T: int, dim: int = TEMB_DIM) -> np.ndarray:
 class NoisePredictor:
     """SiLU MLP predicting the noise from (x_t, time embedding)."""
 
-    layers: list[MaskedLinear]
+    layers: list[MaskedLinear | CompressedLinear]
     temb_dim: int = TEMB_DIM
 
     @classmethod
@@ -105,13 +105,12 @@ class NoisePredictor:
         cls,
         rng: np.random.Generator,
         hidden: tuple[int, ...] = (128, 128),
-        data_dim: int = DATA_DIM,
         temb_dim: int = TEMB_DIM,
     ) -> "NoisePredictor":
         if not hidden or any(h < 32 or h % 32 for h in hidden):
             # every sweep group size up to 32 must divide the hidden widths
             raise ArchitectureError(f"hidden widths must be positive multiples of 32, got {hidden}")
-        dims = [data_dim + temb_dim, *hidden, data_dim]
+        dims = [DATA_DIM + temb_dim, *hidden, DATA_DIM]
         layers = [
             MaskedLinear.dense(f"fc{i + 1}", dims[i], dims[i + 1], rng)
             for i in range(len(dims) - 1)
@@ -142,37 +141,18 @@ class NoisePredictor:
 
 
 def inference_forward(model: NoisePredictor, n_steps: int, compressed: bool = False):
-    """Build a fast tape-free forward closure; optionally run 2:4 layers via spmm.
+    """Tape-free ``fwd(x, t)`` over ``model.forward``; optionally run 2:4 layers via spmm.
 
-    Effective weights (and compressed forms) are captured once, so the model
-    must stay frozen for the lifetime of the closure.
+    Compressed forms are captured once, so the model must stay frozen for the
+    lifetime of the closure.
     """
-    plan = []
-    for layer in model.layers:
-        if compressed and layer.pattern is not None and (layer.pattern.n, layer.pattern.m) == (2, 4):
-            comp = compress_2_4(Tensor(layer.effective_weight()), layer.mask)
-            plan.append(("spmm", comp, layer.bias.data))
-        else:
-            plan.append(("dense", layer.effective_weight().astype(np.float64), layer.bias.data.astype(np.float64)))
-    half = model.temb_dim // 2
-    freqs = np.exp(np.linspace(0.0, np.log(1000.0), half))
-    last = len(plan) - 1
+    if compressed:
+        layers = [CompressedLinear.from_masked(layer) if layer.pattern == NMPattern(2, 4) else layer
+                  for layer in model.layers]
+        model = NoisePredictor(layers=layers, temb_dim=model.temb_dim)
 
     def fwd(x: np.ndarray, t) -> np.ndarray:
-        tt = np.broadcast_to(np.asarray(t, dtype=np.float64), (x.shape[0],))
-        ang = (tt / n_steps)[:, None] * freqs[None, :]
-        temb = np.concatenate([np.sin(ang), np.cos(ang)], axis=1).astype(np.float32)
-        h = np.concatenate([x.astype(np.float32), temb], axis=1)
-        for i, step in enumerate(plan):
-            if step[0] == "spmm":
-                _, comp, bias = step
-                h = spmm(comp, Tensor(h)).data + bias
-            else:
-                _, w64, b64 = step
-                h = (h.astype(np.float64) @ w64.T + b64).astype(np.float32)
-            if i != last:
-                h = silu(Tensor(h)).data
-        return h
+        return model.forward(Tensor(x), t, n_steps).data
 
     return fwd
 
@@ -187,21 +167,13 @@ def ddpm_sample(
     """Ancestral sampling from pure noise; deterministic given the generator state."""
     if n < 0:
         raise ConfigError(f"sample count must be >= 0, got {n}")
-    if isinstance(model, NoisePredictor):
-        fwd = inference_forward(model, sched.T, compressed)
-        d = model.data_dim
-    else:
-        # duck-typed predictors (analytic oracles in tests) go through .forward
-        def fwd(x, t):
-            return model.forward(Tensor(x), t, sched.T).data
-
-        d = getattr(model, "data_dim", DATA_DIM)
-    x = rng.standard_normal((n, d)).astype(np.float32)
+    fwd = inference_forward(model, sched.T, compressed)
+    x = rng.standard_normal((n, DATA_DIM)).astype(np.float32)
     for t in range(sched.T - 1, -1, -1):
         eps_hat = fwd(x, t)
         mu = posterior_mean(Tensor(x), Tensor(eps_hat), t, sched).data
         if t > 0:
-            z = rng.standard_normal((n, d))
+            z = rng.standard_normal((n, DATA_DIM))
             x = (mu.astype(np.float64) + np.sqrt(sched.beta[t]) * z).astype(np.float32)
         else:
             x = mu
@@ -279,13 +251,3 @@ def diffusion_loss(
     x_t = q_sample(batch, t, eps, sched)
     pred = model.forward(x_t, t, sched.T, tape)
     return mse_loss(pred, eps, tape)
-
-
-def loss_diff(model, batch: Tensor, sched: NoiseSchedule, rng: np.random.Generator):
-    """One loss evaluation with gradients: returns (loss value, grads by parameter id)."""
-    from .tensor import backward  # local import keeps module split tidy
-
-    tape = Tape()
-    loss = diffusion_loss(tape, model, batch, sched, rng)
-    grads = backward(tape, loss)
-    return float(loss.data), grads

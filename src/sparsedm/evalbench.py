@@ -18,7 +18,7 @@ from .diffusion import NoisePredictor, NoiseSchedule, ToyDataset, ddpm_sample, t
 from .errors import ConfigError, PatternError
 from .rng import derive_seed, stream
 from .sparsity import NMPattern, Tensor, apply_mask, compress_2_4, project_mask, spmm, spmm_macs
-from .trainer import MaskSchedule, TeacherHandle, TrainConfig, prune_one_shot, transfer_train
+from .trainer import MaskSchedule, TrainConfig, prune_one_shot, transfer_train
 
 THREADS_ENV = "SPARSEDM_THREADS"
 
@@ -118,7 +118,7 @@ def _sweep_entry(pattern, teacher, dataset, sched, config, n_eval, ref):
     prune_one_shot(student, pattern)
     entry_cfg = replace(config, seed=entry_seed)
     schedule = MaskSchedule.fixed(pattern, entry_cfg.steps)
-    transfer_train(student, TeacherHandle(teacher), dataset, sched, entry_cfg, schedule)
+    transfer_train(student, teacher, dataset, sched, entry_cfg, schedule)
     samples = ddpm_sample(student, n_eval, sched, stream(entry_seed, "sample"))
     report = macs_count(student, (1,))
     return {

@@ -111,12 +111,6 @@ def apply_mask(w: Tensor, mask: SparseMask) -> Tensor:
     return Tensor(w.data * mask.bits)
 
 
-def sparsity_ratio(mask: SparseMask) -> float:
-    if mask.bits.size == 0:
-        raise DimensionError("sparsity of an empty mask")
-    return float((mask.bits == 0).sum() / mask.bits.size)
-
-
 @dataclass
 class MaskedLinear:
     """Linear layer whose forward multiplies by W*mask; backward is straight-through."""
@@ -152,12 +146,19 @@ class MaskedLinear:
         return MaskedLinear(self.name, self.weight.copy(), self.bias.copy(), self.mask.copy(), self.pattern)
 
 
-def masked_linear_forward(x: Tensor, layer: MaskedLinear, tape: Tape | None = None) -> Tensor:
-    """Forward through W*mask; the weight gradient skips the mask (straight-through)."""
+def masked_linear_forward(x: Tensor, layer: MaskedLinear | CompressedLinear, tape: Tape | None = None) -> Tensor:
+    """Forward through W*mask; the weight gradient skips the mask (straight-through).
+
+    A frozen ``CompressedLinear`` runs through ``spmm`` instead and takes no tape.
+    """
     if x.data.ndim != 2 or x.shape[1] != layer.in_features:
         raise DimensionError(
             f"layer {layer.name} expects input width {layer.in_features}, got {x.shape}"
         )
+    if isinstance(layer, CompressedLinear):
+        if tape is not None:
+            raise ValueError(f"compressed layer {layer.name} is frozen and cannot record on a tape")
+        return Tensor(spmm(layer.weight, x).data + layer.bias.data)
     if tape is None:
         return linear_ste(x, layer.weight, layer.bias, layer.effective_weight(), None)
     wt = tape.param(f"{layer.name}.weight", layer.weight)
@@ -295,15 +296,30 @@ def spmm_macs(c: Compressed24, batch: int) -> int:
     return batch * c.rows * (c.cols // 2)
 
 
+@dataclass(frozen=True)
+class CompressedLinear:
+    """Frozen 2:4 layer: compressed weight plus bias, run through ``spmm``."""
+
+    name: str
+    weight: Compressed24
+    bias: Tensor
+
+    @classmethod
+    def from_masked(cls, layer: MaskedLinear) -> "CompressedLinear":
+        return cls(layer.name, compress_2_4(Tensor(layer.effective_weight()), layer.mask), layer.bias)
+
+    @property
+    def in_features(self) -> int:
+        return self.weight.cols
+
+    @property
+    def out_features(self) -> int:
+        return self.weight.rows
+
+
 # ---------------------------------------------------------------------------
 # transposable masks
 # ---------------------------------------------------------------------------
-
-def _groups_ok(bits: np.ndarray, pattern: NMPattern) -> bool:
-    rows, cols = bits.shape
-    counts = bits.reshape(rows, cols // pattern.m, pattern.m).sum(axis=2)
-    return bool((counts == pattern.n).all())
-
 
 def is_transposable(mask: SparseMask, pattern: NMPattern) -> bool:
     """True when the mask satisfies the pattern along both orientations."""
@@ -312,7 +328,7 @@ def is_transposable(mask: SparseMask, pattern: NMPattern) -> bool:
         raise PatternError(
             f"mask {rows}x{cols} needs both dims divisible by {pattern.m} for the transposed check"
         )
-    return _groups_ok(mask.bits, pattern) and _groups_ok(np.ascontiguousarray(mask.bits.T), pattern)
+    return mask.satisfies(pattern) and SparseMask(mask.bits.T).satisfies(pattern)
 
 
 _SUPPORTS_2_4: np.ndarray | None = None

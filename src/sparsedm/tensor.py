@@ -115,15 +115,6 @@ class Tape:
         return Tensor(out, node=(self.id, idx))
 
 
-def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul shapes {a.shape} and {b.shape} do not chain")
-    out = (_f64(a.data) @ _f64(b.data)).astype(np.float32)
-    if tape is None:
-        return Tensor(out)
-    return tape._emit("matmul", (a, b), (a.data, b.data), out)
-
-
 def linear_ste(x: Tensor, w: Tensor, b: Tensor, w_eff: np.ndarray, tape: Tape | None = None) -> Tensor:
     """Affine map ``y = x @ w_eff.T + b`` with a straight-through weight gradient.
 
@@ -144,15 +135,6 @@ def linear_ste(x: Tensor, w: Tensor, b: Tensor, w_eff: np.ndarray, tape: Tape | 
     if tape is None:
         return Tensor(out)
     return tape._emit("linear_ste", (x, w, b), (x.data, w_eff), out)
-
-
-def add_bias(x: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    if x.data.ndim != 2 or b.data.ndim != 1 or x.shape[1] != b.shape[0]:
-        raise DimensionError(f"add_bias shapes {x.shape} and {b.shape} do not agree")
-    out = x.data + b.data
-    if tape is None:
-        return Tensor(out)
-    return tape._emit("add_bias", (x, b), None, out)
 
 
 def silu(x: Tensor, tape: Tape | None = None) -> Tensor:
@@ -226,18 +208,11 @@ def backward(tape: Tape, loss: Tensor) -> dict[ParamId, Tensor]:
         op, ids, aux, _shape = tape.nodes[idx]
         if op == "leaf":
             continue
-        if op == "matmul":
-            a, b = aux
-            acc(ids[0], g @ _f64(b).T)
-            acc(ids[1], _f64(a).T @ g)
-        elif op == "linear_ste":
+        if op == "linear_ste":
             x, w_eff = aux
             acc(ids[0], g @ _f64(w_eff))
             acc(ids[1], g.T @ _f64(x))
             acc(ids[2], g.sum(axis=0))
-        elif op == "add_bias":
-            acc(ids[0], g)
-            acc(ids[1], g.sum(axis=0))
         elif op == "silu":
             x, sig = aux
             acc(ids[0], g * (sig * (1.0 + _f64(x) * (1.0 - sig))))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import NoisePredictor, NoiseSchedule, ToyDataset, ddpm_sample, diffusion_loss, inference_forward, q_sample, toy_batch
+from .diffusion import NoisePredictor, NoiseSchedule, ToyDataset, ddpm_sample, diffusion_loss, q_sample, toy_batch
 from .errors import ArchitectureError, ConfigError, DimensionError, PatternError, TrainingError
 from .rng import stream
 from .sparsity import NMPattern, SparseMask, make_transposable, project_mask
@@ -126,13 +126,6 @@ class MaskSchedule:
         return {start for _, (start, _) in self.entries}
 
 
-@dataclass(frozen=True)
-class TeacherHandle:
-    """Read-only wrapper around a frozen dense teacher."""
-
-    model: NoisePredictor
-
-
 # ---------------------------------------------------------------------------
 # update rules
 # ---------------------------------------------------------------------------
@@ -156,20 +149,6 @@ def ste_update(w: Tensor, grad: Tensor, mask: SparseMask, lr: float, lambda_w: f
 
 def _sgd_vector(v: Tensor, grad: Tensor, lr: float) -> Tensor:
     return Tensor(v.data.astype(np.float64) - lr * grad.data.astype(np.float64))
-
-
-def progressive_step(
-    w: Tensor,
-    grad: Tensor,
-    schedule: MaskSchedule,
-    step: int,
-    lr: float,
-    lambda_w: float,
-) -> Tensor:
-    """Apply the schedule's active pattern: re-project the mask, then update."""
-    pattern = schedule.active(step)
-    mask = project_mask(w, pattern)
-    return ste_update(w, grad, mask, lr, lambda_w)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +253,7 @@ def train_dense(
 
 def transfer_train(
     student: NoisePredictor,
-    teacher: TeacherHandle,
+    teacher: NoisePredictor,
     dataset: ToyDataset,
     sched: NoiseSchedule,
     config: TrainConfig,
@@ -285,13 +264,14 @@ def transfer_train(
     Per step: refresh masks per policy, then minimize
     ``lambda1 * mse(student, teacher)`` on noised teacher samples plus
     ``lambda2 * mse(student, eps)`` on noised data, and apply the regularized
-    straight-through update.  With lambda1 = 0, lambda_w = 0 and a single
-    fixed pattern this reduces exactly to the vanilla STE baseline.
+    straight-through update.  The teacher is only read, never updated.  With
+    lambda1 = 0, lambda_w = 0 and a single fixed pattern this reduces exactly
+    to the vanilla STE baseline.
     """
     config.validate()
     if schedule.steps != config.steps:
         raise ConfigError(f"schedule covers {schedule.steps} steps, config wants {config.steps}")
-    t_layers = teacher.model.layers
+    t_layers = teacher.layers
     if len(t_layers) != len(student.layers) or any(
         a.weight.shape != b.weight.shape for a, b in zip(student.layers, t_layers)
     ):
@@ -302,8 +282,7 @@ def transfer_train(
     use_distill = config.lambda1 > 0.0
     if use_distill:
         distill_rng = stream(config.seed, "distill")
-        bank = ddpm_sample(teacher.model, config.teacher_bank, sched, distill_rng).data
-        teacher_fwd = inference_forward(teacher.model, sched.T)
+        bank = ddpm_sample(teacher, config.teacher_bank, sched, distill_rng).data
 
     switches = schedule.switch_steps()
     trace: list[dict] = []
@@ -324,7 +303,7 @@ def transfer_train(
             td = distill_rng.integers(0, sched.T, size=config.batch_size)
             eps_d = Tensor(distill_rng.standard_normal(x0.shape))
             x_td = q_sample(x0, td, eps_d, sched)
-            target = Tensor(teacher_fwd(x_td.data, td))
+            target = teacher.forward(x_td, td, sched.T)
             pred = student.forward(x_td, td, sched.T, tape)
             l_dense = mse_loss(pred, target, tape)
             value_dense = float(l_dense.data)

@@ -7,6 +7,7 @@ import itertools
 import time
 
 import numpy as np
+import pytest
 
 from conftest import assert_close_rel, fd_grad
 from sparsedm.checkpoint import CKPT_NAME, META_NAME, file_checksum, load_model, save_model
@@ -34,7 +35,6 @@ from sparsedm.sparsity import (
 from sparsedm.tensor import Tape, Tensor, backward, mse_loss, silu
 from sparsedm.trainer import (
     MaskSchedule,
-    TeacherHandle,
     TrainConfig,
     prune_one_shot,
     ste_update,
@@ -219,6 +219,7 @@ def test_a06_per_layer_parameter_halving():
             "2:4 pruning leaves exactly half the nonzero parameters in every layer")
 
 
+@pytest.mark.slow
 def test_a07_transfer_quality_on_gauss8():
     t = _timer()
     ds = ToyDataset("gauss8")
@@ -242,7 +243,7 @@ def test_a07_transfer_quality_on_gauss8():
         prune_one_shot(student, pat)
         cfg = TrainConfig(steps=4000, lr=0.05, lambda_w=1e-4, lambda1=0.5,
                           lambda2=0.5, seed=seed, teacher_bank=2048)
-        student, _ = transfer_train(student, TeacherHandle(teacher), ds, sched, cfg,
+        student, _ = transfer_train(student, teacher, ds, sched, cfg,
                                     MaskSchedule.fixed(pat, 4000))
 
         te, se, ue = ed(teacher), ed(student), ed(untrained)
@@ -259,6 +260,7 @@ def test_a07_transfer_quality_on_gauss8():
             f"({', '.join(f'{u:.3f}' for u in untrained_eds)})")
 
 
+@pytest.mark.slow
 def test_a08_default_sweep_emits_ten_patterns(tmp_path):
     t = _timer()
     teacher = tmp_path / "teacher"
@@ -347,7 +349,7 @@ def test_a11_vanilla_ste_baseline_bit_for_bit():
     teacher = NoisePredictor.create(stream(9, "init"), hidden=(32, 32))
     student = teacher.copy()
     prune_one_shot(student, pat)
-    got, _ = transfer_train(student, TeacherHandle(teacher), ds, sched, config,
+    got, _ = transfer_train(student, teacher, ds, sched, config,
                             MaskSchedule.fixed(pat, 100))
 
     ref = teacher.copy()

@@ -304,3 +304,68 @@ def test_sample_rejects_bad_count(runs, tmp_path):
     rc = main(["sample", "--out", str(tmp_path / "x"), "--ckpt", str(runs["dense"]),
                "--n", "0"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("cmd,values", [
+    ("train-dense", {"lr": "0.1"}),
+    ("train-dense", {"T": 2.5}),
+    ("train-dense", {"steps": "3"}),
+    ("train-dense", {"steps": True}),
+    ("train-dense", {"data": "spiral"}),
+    ("sample", {"n": "5"}),
+    ("sample", {"svg": "no"}),
+    ("prune", {"transposable": "false"}),
+], ids=lambda v: json.dumps(v, separators=(",", ":")) if isinstance(v, dict) else v)
+def test_mistyped_config_value_exits_2(runs, tmp_path, capsys, cmd, values):
+    (key,) = values
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    argv = [cmd, "--out", str(tmp_path / "x"), "--config", str(cfg)]
+    if cmd != "train-dense":
+        argv += ["--ckpt", str(runs["dense"])]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x" / "config.json").exists()
+
+
+def test_config_int_accepted_for_float(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lr": 1, "steps": 2, "T": 8, "hidden": "32", "batch_size": 8}))
+    out = tmp_path / "run"
+    assert main(["train-dense", "--out", str(out), "--config", str(cfg)]) == 0
+    assert json.loads((out / "config.json").read_text())["lr"] == 1
+
+
+@pytest.mark.parametrize("keep", [0, 3, 9, 40, -200, -1])
+def test_truncated_checkpoint_exits_2(runs, tmp_path, capsys, keep):
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    data = (runs["sparse"] / CKPT_NAME).read_bytes()
+    (bad / CKPT_NAME).write_bytes(data[:keep] if keep else b"")
+    (bad / META_NAME).write_bytes((runs["sparse"] / META_NAME).read_bytes())
+    capsys.readouterr()
+    assert main(["sample", "--out", str(tmp_path / "s"), "--ckpt", str(bad), "--n", "4"]) == 2
+    assert "checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["trailing", "name", "sidecar"])
+def test_corrupt_checkpoint_exits_2(runs, tmp_path, capsys, damage):
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    ckpt = (runs["sparse"] / CKPT_NAME).read_bytes()
+    meta = (runs["sparse"] / META_NAME).read_text()
+    if damage == "trailing":
+        ckpt += b"\0"
+    elif damage == "name":
+        ckpt = ckpt[:12] + b"\xff" + ckpt[13:]  # first byte of the first entry name
+    else:
+        meta = meta[: len(meta) // 2]
+    (bad / CKPT_NAME).write_bytes(ckpt)
+    (bad / META_NAME).write_text(meta)
+    capsys.readouterr()
+    assert main(["sample", "--out", str(tmp_path / "s"), "--ckpt", str(bad), "--n", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -8,7 +8,6 @@ from sparsedm.diffusion import (
     ToyDataset,
     ddpm_sample,
     diffusion_loss,
-    loss_diff,
     make_schedule,
     posterior_mean,
     q_sample,
@@ -17,7 +16,7 @@ from sparsedm.diffusion import (
 )
 from sparsedm.errors import ArchitectureError, ConfigError
 from sparsedm.sparsity import MaskedLinear
-from sparsedm.tensor import Tape, Tensor
+from sparsedm.tensor import Tape, Tensor, backward
 from sparsedm.rng import stream
 
 from conftest import assert_close_rel, fd_grad
@@ -151,7 +150,8 @@ def test_loss_grads_match_fd(rng):
     s = make_schedule(5, 1e-3, 0.05)
     batch = Tensor(rng.standard_normal((8, 2)).astype(np.float32))
 
-    value, grads = loss_diff(model, batch, s, stream(3, "noise"))
+    tape = Tape()
+    grads = backward(tape, diffusion_loss(tape, model, batch, s, stream(3, "noise")))
 
     # regenerate the same (t, eps) draw the loss consumed
     probe = stream(3, "noise")

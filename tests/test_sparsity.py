@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sparsedm.errors import CompressionError, PatternError
 from sparsedm.sparsity import (
     Compressed24,
+    CompressedLinear,
     MaskedLinear,
     NMPattern,
     SparseMask,
@@ -18,7 +19,6 @@ from sparsedm.sparsity import (
     make_transposable,
     masked_linear_forward,
     project_mask,
-    sparsity_ratio,
     spmm,
     spmm_macs,
 )
@@ -81,12 +81,6 @@ def test_masked_weight_zero_count(rng):
     m = project_mask(w, NMPattern(2, 4))
     wt = apply_mask(w, m)
     assert (wt.data == 0).sum() >= (m.bits == 0).sum()
-
-
-def test_sparsity_ratio_values():
-    assert sparsity_ratio(SparseMask.ones((3, 32))) == 0.0
-    w = Tensor(np.random.default_rng(0).standard_normal((4, 8)).astype(np.float32))
-    assert sparsity_ratio(project_mask(w, NMPattern(2, 4))) == 0.5
 
 
 def _brute_best_sum(group, n):
@@ -332,3 +326,15 @@ def test_make_transposable_rejects_non_24():
 def test_is_transposable_rejects_indivisible():
     with pytest.raises(PatternError):
         is_transposable(SparseMask(np.ones((3, 4), np.uint8)), NMPattern(2, 4))
+
+
+def test_compressed_linear_forward_matches_masked(rng):
+    layer = MaskedLinear.dense("l", 16, 8, rng)
+    layer.mask = project_mask(layer.weight, NMPattern(2, 4))
+    comp = CompressedLinear.from_masked(layer)
+    assert (comp.in_features, comp.out_features) == (16, 8)
+    x = Tensor(rng.standard_normal((5, 16)).astype(np.float32))
+    got = masked_linear_forward(x, comp).data
+    assert np.abs(got - masked_linear_forward(x, layer).data).max() <= 1e-5
+    with pytest.raises(ValueError, match="frozen"):
+        masked_linear_forward(x, comp, Tape())

@@ -8,9 +8,8 @@ from sparsedm.tensor import (
     Tape,
     Tensor,
     add,
-    add_bias,
     backward,
-    matmul,
+    linear_ste,
     mse_loss,
     scale,
     silu,
@@ -20,35 +19,51 @@ from sparsedm.tensor import (
 from conftest import assert_close_rel, fd_grad
 
 
+def _linear(x, w, b, tape=None):
+    # plain affine map: the effective weight is the weight itself
+    return linear_ste(x, w, b, w.data, tape)
+
+
 def test_matmul_against_triple_loop(rng):
-    a = rng.standard_normal((5, 7)).astype(np.float32)
-    b = rng.standard_normal((7, 3)).astype(np.float32)
-    out = matmul(Tensor(a), Tensor(b)).data
+    # the matrix product inside linear_ste, bias included
+    x = rng.standard_normal((5, 7)).astype(np.float32)
+    w = rng.standard_normal((3, 7)).astype(np.float32)
+    b = rng.standard_normal(3).astype(np.float32)
+    out = _linear(Tensor(x), Tensor(w), Tensor(b)).data
     ref = np.zeros((5, 3), dtype=np.float64)
     for i in range(5):
         for j in range(3):
+            ref[i, j] = float(b[j])
             for k in range(7):
-                ref[i, j] += float(a[i, k]) * float(b[k, j])
+                ref[i, j] += float(x[i, k]) * float(w[j, k])
     assert np.abs(out - ref).max() <= 1e-6
 
 
-def test_matmul_shape_mismatch():
-    with pytest.raises(DimensionError):
-        matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
-
-
 def test_add_bias_values():
+    # through an identity weight linear_ste adds the bias exactly
     x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
     b = Tensor(np.array([10.0, 20.0]))
-    assert np.array_equal(add_bias(x, b).data, np.array([[11.0, 22.0], [13.0, 24.0]], np.float32))
+    out = _linear(x, Tensor(np.eye(2)), b).data
+    assert np.array_equal(out, np.array([[11.0, 22.0], [13.0, 24.0]], np.float32))
+
+
+def test_linear_shape_mismatch():
+    w = Tensor(np.zeros((2, 3)))
+    with pytest.raises(DimensionError):
+        _linear(Tensor(np.zeros((2, 4))), w, Tensor(np.zeros(2)))
+    with pytest.raises(DimensionError):
+        _linear(Tensor(np.zeros((2, 3))), w, Tensor(np.zeros(3)))
+    with pytest.raises(DimensionError):
+        linear_ste(Tensor(np.zeros((2, 3))), w, Tensor(np.zeros(2)), np.zeros((3, 2), np.float32))
 
 
 def test_bias_grad_is_batch_count(rng):
-    # loss = sum(x + b) over a 4x3 input: d loss / d b = [4, 4, 4]
+    # loss = sum(x W^T + b) over a 4-row batch: d loss / d b = [4, 4, 4]
     tape = Tape()
-    x = Tensor(rng.standard_normal((4, 3)).astype(np.float32))
+    x = Tensor(rng.standard_normal((4, 5)).astype(np.float32))
+    w = Tensor(rng.standard_normal((3, 5)).astype(np.float32))
     b = tape.param("b", Tensor(np.zeros(3, np.float32)))
-    loss = sum_all(add_bias(x, b, tape), tape)
+    loss = sum_all(_linear(x, w, b, tape), tape)
     grads = backward(tape, loss)
     assert np.array_equal(grads["b"].data, np.array([4.0, 4.0, 4.0], np.float32))
 
@@ -108,18 +123,18 @@ def test_untouched_param_gets_zero_grad(rng):
 def test_sum_wx_grad_is_outer_product(rng):
     # loss = sum(W x): dW[i,j] = x[j] repeated per output row
     w0 = rng.standard_normal((3, 4)).astype(np.float32)
-    x0 = rng.standard_normal((4, 1)).astype(np.float32)
+    x0 = rng.standard_normal((1, 4)).astype(np.float32)
     tape = Tape()
     w = tape.param("w", Tensor(w0))
-    loss = sum_all(matmul(w, Tensor(x0), tape), tape)
+    loss = sum_all(_linear(Tensor(x0), w, Tensor(np.zeros(3, np.float32)), tape), tape)
     g = backward(tape, loss)["w"].data
-    expected = np.tile(x0.T, (3, 1))
+    expected = np.tile(x0, (3, 1))
     assert np.abs(g - expected).max() <= 1e-6
 
 
 def test_three_layer_mlp_grads_match_fd(rng):
-    # weights stored input-major so matmul(h, w) chains without a transpose op
-    wt0 = [(rng.standard_normal(s) * 0.5).astype(np.float32) for s in [(4, 3), (3, 3), (3, 2)]]
+    # weights stored output-major, as linear layers hold them
+    wt0 = [(rng.standard_normal(s) * 0.5).astype(np.float32) for s in [(3, 4), (3, 3), (2, 3)]]
     b0 = [np.zeros(s, np.float32) for s in (3, 3, 2)]
     x0 = rng.standard_normal((5, 4)).astype(np.float32)
     t0 = rng.standard_normal((5, 2)).astype(np.float32)
@@ -130,7 +145,7 @@ def test_three_layer_mlp_grads_match_fd(rng):
         for i in range(3):
             w = tape.param(f"w{i}", Tensor(wts[i]))
             b = tape.param(f"b{i}", Tensor(bs[i]))
-            h = add_bias(matmul(h, w, tape), b, tape)
+            h = _linear(h, w, b, tape)
             if i < 2:
                 h = silu(h, tape)
         return tape, mse_loss(h, Tensor(t0), tape)
@@ -142,7 +157,7 @@ def test_three_layer_mlp_grads_match_fd(rng):
         # independent 64-bit forward, so FD noise stays below the tolerance
         h = x0.astype(np.float64)
         for i in range(3):
-            h = h @ wts[i] + bs[i]
+            h = h @ wts[i].T + bs[i]
             if i < 2:
                 h = h / (1 + np.exp(-h))
         return float(((h - t0.astype(np.float64)) ** 2).mean())
@@ -170,7 +185,8 @@ def test_forward_backward_deterministic(rng):
     def once():
         tape = Tape()
         w = tape.param("w", Tensor(w0))
-        loss = mse_loss(silu(matmul(Tensor(x0), w, tape), tape), Tensor(np.ones((2, 3), np.float32)), tape)
+        h = _linear(Tensor(x0), w, Tensor(np.zeros(3, np.float32)), tape)
+        loss = mse_loss(silu(h, tape), Tensor(np.ones((2, 3), np.float32)), tape)
         return loss.data.tobytes(), backward(tape, loss)["w"].data.tobytes()
 
     assert once() == once()
@@ -180,16 +196,17 @@ def test_double_forward_accumulates(rng):
     # running the same layer through the tape twice doubles the gradient
     w0 = rng.standard_normal((2, 2)).astype(np.float32)
     x0 = Tensor(rng.standard_normal((3, 2)).astype(np.float32))
+    b0 = Tensor(np.zeros(2, np.float32))
     wt = Tensor(w0)
 
     tape = Tape()
     w = tape.param("w", wt)
-    loss = add(sum_all(matmul(x0, w, tape), tape), sum_all(matmul(x0, w, tape), tape), tape)
+    loss = add(sum_all(_linear(x0, w, b0, tape), tape), sum_all(_linear(x0, w, b0, tape), tape), tape)
     g2 = backward(tape, loss)["w"].data
 
     tape1 = Tape()
     w1 = tape1.param("w", wt)
-    g1 = backward(tape1, sum_all(matmul(x0, w1, tape1), tape1))["w"].data
+    g1 = backward(tape1, sum_all(_linear(x0, w1, b0, tape1), tape1))["w"].data
     assert np.allclose(g2, 2 * g1, atol=1e-6)
 
 
@@ -231,7 +248,7 @@ def test_constants_do_not_receive_grads(rng):
 def test_composed_graph_grads_match_fd(n, k, m, seed):
     r = np.random.default_rng(seed)
     a0 = (r.standard_normal((n, k)) * 0.7).astype(np.float32)
-    b0 = (r.standard_normal((k, m)) * 0.7).astype(np.float32)
+    b0 = (r.standard_normal((m, k)) * 0.7).astype(np.float32)
     bias0 = (r.standard_normal(m) * 0.3).astype(np.float32)
     t0 = r.standard_normal((n, m)).astype(np.float32)
 
@@ -240,14 +257,14 @@ def test_composed_graph_grads_match_fd(n, k, m, seed):
         a = tape.param("a", Tensor(av))
         b = tape.param("b", Tensor(bv))
         c = tape.param("c", Tensor(cv))
-        out = silu(add_bias(matmul(a, b, tape), c, tape), tape)
+        out = silu(_linear(a, b, c, tape), tape)
         return tape, scale(mse_loss(out, Tensor(t0), tape), 1.5, tape)
 
     tape, loss = run(a0, b0, bias0)
     grads = backward(tape, loss)
 
     def loss64(av, bv, cv):
-        h = av.astype(np.float64) @ bv.astype(np.float64) + cv.astype(np.float64)
+        h = av.astype(np.float64) @ bv.astype(np.float64).T + cv.astype(np.float64)
         h = h / (1 + np.exp(-h))
         return 1.5 * float(((h - t0.astype(np.float64)) ** 2).mean())
 

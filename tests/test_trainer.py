@@ -10,9 +10,7 @@ from sparsedm.sparsity import NMPattern, SparseMask, is_transposable, project_ma
 from sparsedm.tensor import Tensor
 from sparsedm.trainer import (
     MaskSchedule,
-    TeacherHandle,
     TrainConfig,
-    progressive_step,
     prune_one_shot,
     ste_update,
     train_dense,
@@ -93,16 +91,6 @@ def test_ste_update_rejects_bad_args(rng):
         ste_update(w, g, mask, 0.1, -1.0)
     with pytest.raises(Exception):
         ste_update(w, Tensor(np.zeros((4, 2), np.float32)), mask, 0.1, 0.0)
-
-
-def test_progressive_step_equals_fixed_ste(rng):
-    w0 = rng.standard_normal((4, 8)).astype(np.float32)
-    g0 = rng.standard_normal((4, 8)).astype(np.float32)
-    sched = MaskSchedule.fixed(NMPattern(2, 4), 10)
-    for step in (0, 5, 9):
-        a = progressive_step(Tensor(w0), Tensor(g0), sched, step, 0.1, 0.01).data
-        b = ste_update(Tensor(w0), Tensor(g0), project_mask(Tensor(w0), NMPattern(2, 4)), 0.1, 0.01).data
-        assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +260,7 @@ def test_transfer_distill_loss_zero_when_student_is_teacher():
     sched = make_schedule(10, 1e-4, 0.02)
     config = TrainConfig(steps=3, lambda1=1.0, lambda2=0.0, lambda_w=0.0, lr=1e-9, seed=5)
     schedule = MaskSchedule.fixed(NMPattern(32, 32), 3)
-    _, trace = transfer_train(student, TeacherHandle(teacher), ToyDataset("gauss8"),
+    _, trace = transfer_train(student, teacher, ToyDataset("gauss8"),
                               sched, config, schedule)
     assert trace[0]["loss_dense"] == 0.0
 
@@ -284,7 +272,7 @@ def test_transfer_teacher_unchanged():
     prune_one_shot(student, NMPattern(2, 4))
     sched = make_schedule(10, 1e-4, 0.02)
     config = TrainConfig(steps=10, lambda1=0.5, lambda2=0.5, seed=1)
-    transfer_train(student, TeacherHandle(teacher), ToyDataset("gauss8"), sched,
+    transfer_train(student, teacher, ToyDataset("gauss8"), sched,
                    config, MaskSchedule.fixed(NMPattern(2, 4), 10))
     assert _checksum(teacher) == before
 
@@ -294,7 +282,7 @@ def test_transfer_masks_valid_after_run():
     student = teacher.copy()
     prune_one_shot(student, NMPattern(2, 4))
     sched = make_schedule(10, 1e-4, 0.02)
-    out, trace = transfer_train(student, TeacherHandle(teacher), ToyDataset("gauss8"), sched,
+    out, trace = transfer_train(student, teacher, ToyDataset("gauss8"), sched,
                                 TrainConfig(steps=15, lambda1=0.5, lambda2=0.5, seed=2),
                                 MaskSchedule.fixed(NMPattern(2, 4), 15))
     for layer in out.layers:
@@ -308,7 +296,7 @@ def test_transfer_progressive_ends_with_tight_masks():
     student = teacher.copy()
     sched = make_schedule(10, 1e-4, 0.02)
     schedule = MaskSchedule.progressive([NMPattern(3, 4), NMPattern(2, 4)], 20, interval=10)
-    out, trace = transfer_train(student, TeacherHandle(teacher), ToyDataset("gauss8"), sched,
+    out, trace = transfer_train(student, teacher, ToyDataset("gauss8"), sched,
                                 TrainConfig(steps=20, lambda1=0.0, lambda2=1.0, seed=4),
                                 schedule)
     assert trace[0]["active_pattern"] == "3:4"
@@ -323,11 +311,11 @@ def test_transfer_rejects_mismatched_schedule_and_arch():
     student = teacher.copy()
     sched = make_schedule(10, 1e-4, 0.02)
     with pytest.raises(ConfigError):
-        transfer_train(student, TeacherHandle(teacher), ToyDataset("gauss8"), sched,
+        transfer_train(student, teacher, ToyDataset("gauss8"), sched,
                        TrainConfig(steps=5), MaskSchedule.fixed(NMPattern(2, 4), 6))
     other = _model(0, hidden=(64,))
     with pytest.raises(ArchitectureError):
-        transfer_train(student, TeacherHandle(other), ToyDataset("gauss8"), sched,
+        transfer_train(student, other, ToyDataset("gauss8"), sched,
                        TrainConfig(steps=5), MaskSchedule.fixed(NMPattern(2, 4), 5))
 
 
@@ -343,7 +331,7 @@ def test_transfer_reduces_to_vanilla_ste_short():
     teacher = _model(8)
     student = teacher.copy()
     prune_one_shot(student, NMPattern(2, 4))
-    got, _ = transfer_train(student, TeacherHandle(teacher), ToyDataset("gauss8"), sched,
+    got, _ = transfer_train(student, teacher, ToyDataset("gauss8"), sched,
                             config, MaskSchedule.fixed(NMPattern(2, 4), 12))
 
     ref = teacher.copy()
