@@ -161,12 +161,10 @@ def load_model(path) -> tuple[NoisePredictor, NoiseSchedule, dict]:
         meta = json.loads(meta_path.read_text())
     except json.JSONDecodeError as e:
         raise ConfigError(f"{meta_path} is not valid JSON: {e}") from None
-    if meta.get("format_version") != FORMAT_VERSION:
-        raise ConfigError(f"{meta_path}: unsupported format version {meta.get('format_version')!r}")
+    _check_meta(meta, meta_path)
     entries = {name: (kind, arr) for name, kind, arr in read_entries(ckpt_path)}
-    patterns = {rec["name"]: rec.get("pattern") for rec in meta.get("layers", [])}
     layers = []
-    for rec in meta.get("layers", []):
+    for rec in meta["layers"]:
         name = rec["name"]
         try:
             _, w = entries[f"{name}.weight"]
@@ -174,7 +172,7 @@ def load_model(path) -> tuple[NoisePredictor, NoiseSchedule, dict]:
             _, m = entries[f"{name}.mask"]
         except KeyError as e:
             raise ArchitectureError(f"checkpoint missing entry for layer {name}: {e}") from None
-        pat = patterns.get(name)
+        pat = rec.get("pattern")
         layers.append(
             MaskedLinear(
                 name=name,
@@ -184,12 +182,35 @@ def load_model(path) -> tuple[NoisePredictor, NoiseSchedule, dict]:
                 pattern=NMPattern.parse(pat) if pat else None,
             )
         )
-    if not layers:
-        raise ArchitectureError("checkpoint describes no layers")
-    model = NoisePredictor(layers=layers, temb_dim=int(meta["architecture"]["temb_dim"]))
+    model = NoisePredictor(layers=layers, temb_dim=meta["architecture"]["temb_dim"])
     s = meta["schedule"]
-    sched = make_schedule(int(s["T"]), float(s["beta_start"]), float(s["beta_end"]))
+    sched = make_schedule(s["T"], float(s["beta_start"]), float(s["beta_end"]))
     return model, sched, meta
+
+
+def _check_meta(meta, path) -> None:
+    """Reject a sidecar that parses as JSON but lacks the fields load_model reads."""
+    def fail(what: str):
+        raise ConfigError(f"{path}: {what}")
+
+    if not isinstance(meta, dict):
+        fail(f"must hold a JSON object, got {type(meta).__name__}")
+    if meta.get("format_version") != FORMAT_VERSION:
+        fail(f"unsupported format version {meta.get('format_version')!r}")
+    layers = meta.get("layers")
+    if not isinstance(layers, list) or not layers:
+        fail("'layers' must be a non-empty list")
+    for rec in layers:
+        if not (isinstance(rec, dict) and isinstance(rec.get("name"), str)
+                and isinstance(rec.get("pattern"), (str, type(None)))):
+            fail(f"a layer needs a string 'name' and a string or null 'pattern', got {rec!r}")
+    arch = meta.get("architecture")
+    if not isinstance(arch, dict) or type(arch.get("temb_dim")) is not int:
+        fail("'architecture.temb_dim' must be an integer")
+    sched = meta.get("schedule")
+    if not (isinstance(sched, dict) and type(sched.get("T")) is int
+            and all(type(sched.get(k)) in (int, float) for k in ("beta_start", "beta_end"))):
+        fail("'schedule' needs an integer 'T' and numeric 'beta_start' and 'beta_end'")
 
 
 def model_checksum(model: NoisePredictor) -> str:

@@ -40,7 +40,7 @@ from .evalbench import (
 )
 from .rng import stream
 from .sparsity import NMPattern, is_transposable
-from .trainer import LR_SCHEDULES, MaskSchedule, TrainConfig, prune_one_shot, train_dense, transfer_train
+from .trainer import LR_SCHEDULES, TrainConfig, prune_one_shot, transfer_train
 
 METRIC_NAME = "energy_distance(FID proxy)"
 
@@ -264,7 +264,7 @@ def cmd_train_dense(args) -> int:
     hidden = _parse_hidden(cfg["hidden"])
     _echo_config(out, "train-dense", cfg)
     model = NoisePredictor.create(stream(cfg["seed"], "init"), hidden=hidden)
-    model, trace = train_dense(model, dataset, sched, config)
+    model, trace = transfer_train(model, None, dataset, sched, config)
     ckpt.save_model(out, model, sched, cfg["seed"], extra={"label": "dense"})
     _write_trace(out / "trace.jsonl", trace)
     print(f"trained dense model for {config.steps} steps, final loss "
@@ -295,16 +295,18 @@ def cmd_prune(args) -> int:
     return 0
 
 
-def _build_schedule(cfg: dict, student: NoisePredictor, steps: int) -> MaskSchedule:
-    if cfg.get("progressive"):
-        patterns = [NMPattern.parse(p) for p in cfg["progressive"].split(",") if p]
-        return MaskSchedule.progressive(patterns, steps, cfg["switch_every"])
-    if cfg.get("pattern"):
-        return MaskSchedule.fixed(NMPattern.parse(cfg["pattern"]), steps)
+def _schedule(cfg: dict, student: NoisePredictor) -> tuple[NMPattern, ...]:
+    if cfg["progressive"]:
+        patterns = tuple(NMPattern.parse(p) for p in cfg["progressive"].split(",") if p)
+        if not patterns:
+            raise ConfigError("progressive schedule needs at least one pattern")
+        return patterns
+    if cfg["pattern"]:
+        return (NMPattern.parse(cfg["pattern"]),)
     recorded = [l.pattern for l in student.layers if l.pattern is not None]
     if not recorded:
         raise ConfigError("student checkpoint is dense; pass --pattern or --progressive")
-    return MaskSchedule.fixed(recorded[0], steps)
+    return (recorded[0],)
 
 
 def cmd_train_sparse(args) -> int:
@@ -315,10 +317,9 @@ def cmd_train_sparse(args) -> int:
     if t_sched.T != sched.T:
         raise ConfigError(f"student schedule T={sched.T} differs from teacher T={t_sched.T}")
     dataset = ToyDataset(cfg["data"])
-    config = _train_config(cfg, mask_refresh=0 if cfg["freeze_masks"] else 1)
-    schedule = _build_schedule(cfg, student, config.steps)
+    config = _train_config(cfg, schedule=_schedule(cfg, student))
     _echo_config(out, "train-sparse", cfg)
-    student, trace = transfer_train(student, teacher, dataset, sched, config, schedule)
+    student, trace = transfer_train(student, teacher, dataset, sched, config)
     label = "ste-baseline" if config.lambda1 == 0.0 else "transfer"
     ckpt.save_model(out, student, sched, cfg["seed"], extra={"label": label})
     _write_trace(out / "trace.jsonl", trace)

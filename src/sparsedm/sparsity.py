@@ -199,15 +199,6 @@ class Compressed24:
         base = (np.arange(self.cols // 4, dtype=np.int64) * 4)[None, :, None]
         return (ig.astype(np.int64) + base).reshape(self.rows, self.cols // 2)
 
-    def validate(self) -> None:
-        if self.values.shape != (self.rows * self.cols // 2,):
-            raise CompressionError(f"values length {self.values.shape} mismatches {self.rows}x{self.cols}")
-        ig = self.ingroup_indices().reshape(self.rows, self.cols // 4, 2)
-        if not (ig < 4).all():
-            raise CompressionError("in-group index out of range")
-        if not (ig[:, :, 0] < ig[:, :, 1]).all():
-            raise CompressionError("in-group indices not strictly increasing")
-
 
 def _pack_crumbs(u: np.ndarray) -> np.ndarray:
     """Pack 2-bit values (flat uint8 array) four per byte, first in the low bits."""

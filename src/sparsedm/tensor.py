@@ -23,14 +23,11 @@ def _f64(a: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid64(x: np.ndarray) -> np.ndarray:
-    # Piecewise form avoids overflow in exp for large |x|.
+    # exp(-|x|) never overflows; per element this is 1/(1+exp(-x)) for x >= 0
+    # and exp(x)/(1+exp(x)) below zero
     x = _f64(x)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 class Tensor:

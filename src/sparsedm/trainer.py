@@ -1,15 +1,19 @@
-"""Training loops: dense pretraining, STE sparse training, and dense-to-sparse transfer.
+"""One training loop for dense pretraining, STE sparse training and dense-to-sparse transfer.
 
-The sparse update follows the regularized straight-through rule
+``transfer_train`` minimizes ``lambda1 * mse(student, teacher)`` on noised
+teacher samples plus ``lambda2 * mse(student, eps)`` on noised data, with the
+regularized straight-through update
 
     W <- W - lr * (g(W*mask) + lambda_w * (W - W*mask))
 
 so kept positions see the plain gradient while pruned positions decay toward
-zero.  Masks re-project from the current magnitudes every ``mask_refresh``
-steps (every step by default; 0 freezes them between schedule switches), and
-progressive schedules walk an ordered pattern list, re-projecting at each
-switch.  Transfer training optionally adds a distillation term computed on
-noisy versions of samples generated by the frozen teacher.
+zero.  Dense pretraining is the case with no teacher term, an empty mask
+schedule and all-ones masks, where the lambda_w term is exactly zero.
+
+The mask schedule is ``TrainConfig.schedule``: pattern ``i`` is active from
+step ``i * switch_every`` on, the last one to the end.  Masks re-project from
+the current magnitudes every step, or with ``freeze_masks`` only at each
+pattern's first step.
 """
 from __future__ import annotations
 
@@ -37,8 +41,10 @@ class TrainConfig:
     lambda1: float = 0.0
     lambda2: float = 1.0
     seed: int = 0
-    mask_refresh: int = 1       # 0 freezes masks between schedule switches
     teacher_bank: int = 2048    # size of the generated teacher sample pool
+    schedule: tuple[NMPattern, ...] = ()  # mask patterns, densest first; empty trains dense
+    switch_every: int = 1000    # steps each pattern but the last is active
+    freeze_masks: bool = False  # project masks only at each pattern's first step
 
     def validate(self) -> "TrainConfig":
         if not isinstance(self.steps, int) or self.steps < 0:
@@ -56,10 +62,18 @@ class TrainConfig:
                 raise ConfigError(f"{name} must lie in [0, 1], got {lam!r}")
         if self.lambda1 + self.lambda2 <= 0.0:
             raise ConfigError("lambda1 + lambda2 must be positive, the loss would vanish")
-        if not isinstance(self.mask_refresh, int) or self.mask_refresh < 0:
-            raise ConfigError(f"mask_refresh must be a non-negative integer, got {self.mask_refresh!r}")
         if not isinstance(self.teacher_bank, int) or self.teacher_bank < 1:
             raise ConfigError(f"teacher_bank must be a positive integer, got {self.teacher_bank!r}")
+        if not isinstance(self.switch_every, int) or self.switch_every < 1:
+            raise ConfigError(f"switch_every must be a positive integer, got {self.switch_every!r}")
+        if not all(isinstance(p, NMPattern) for p in self.schedule):
+            raise ConfigError(f"schedule must hold N:M patterns, got {self.schedule!r}")
+        need = (len(self.schedule) - 1) * self.switch_every + 1
+        if self.schedule and self.steps < need:
+            raise ConfigError(
+                f"a schedule of {len(self.schedule)} patterns switching every {self.switch_every} steps "
+                f"needs at least {need} steps, got {self.steps}"
+            )
         return self
 
     def lr_at(self, step: int) -> float:
@@ -67,63 +81,18 @@ class TrainConfig:
             return self.lr
         return self.lr * 0.5 * (1.0 + math.cos(math.pi * step / max(1, self.steps)))
 
+    def pattern_at(self, step: int) -> NMPattern | None:
+        """The schedule's pattern active at ``step``; None for dense training."""
+        if not self.schedule:
+            return None
+        return self.schedule[min(step // self.switch_every, len(self.schedule) - 1)]
 
-@dataclass(frozen=True)
-class MaskSchedule:
-    """Ordered (pattern, [start, end)) entries partitioning the training steps."""
-
-    entries: tuple[tuple[NMPattern, tuple[int, int]], ...]
-    mode: str = "fixed"
-
-    def __post_init__(self):
-        if self.mode not in ("fixed", "progressive"):
-            raise ConfigError(f"schedule mode must be fixed or progressive, got {self.mode!r}")
-        if not self.entries:
-            raise ConfigError("mask schedule needs at least one entry")
-        if self.mode == "fixed" and len(self.entries) != 1:
-            raise ConfigError("a fixed schedule holds exactly one pattern")
-        prev = 0
-        for pattern, (start, end) in self.entries:
-            if start != prev or end <= start:
-                raise ConfigError(f"schedule ranges must partition the steps, bad range ({start}, {end})")
-            prev = end
-
-    @classmethod
-    def fixed(cls, pattern: NMPattern, steps: int) -> "MaskSchedule":
-        if steps < 1:
-            raise ConfigError(f"schedule needs at least one step, got {steps}")
-        return cls(entries=((pattern, (0, steps)),), mode="fixed")
-
-    @classmethod
-    def progressive(cls, patterns, steps: int, interval: int = 1000) -> "MaskSchedule":
-        patterns = list(patterns)
-        if not patterns:
-            raise ConfigError("progressive schedule needs at least one pattern")
-        if interval < 1:
-            raise ConfigError(f"switch interval must be positive, got {interval}")
-        if steps < (len(patterns) - 1) * interval + 1:
-            raise ConfigError(
-                f"{steps} steps cannot fit {len(patterns)} patterns at interval {interval}"
-            )
-        entries = []
-        for i, p in enumerate(patterns):
-            start = i * interval
-            end = (i + 1) * interval if i < len(patterns) - 1 else steps
-            entries.append((p, (start, end)))
-        return cls(entries=tuple(entries), mode="progressive")
-
-    @property
-    def steps(self) -> int:
-        return self.entries[-1][1][1]
-
-    def active(self, step: int) -> NMPattern:
-        for pattern, (start, end) in self.entries:
-            if start <= step < end:
-                return pattern
-        raise ConfigError(f"step {step} outside schedule range [0, {self.steps})")
-
-    def switch_steps(self) -> set[int]:
-        return {start for _, (start, _) in self.entries}
+    def projects_at(self, step: int) -> bool:
+        """Whether masks re-project from the weights before ``step``."""
+        if not self.schedule:
+            return False
+        stage, offset = divmod(step, self.switch_every)
+        return not self.freeze_masks or (offset == 0 and stage < len(self.schedule))
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +124,6 @@ def _sgd_vector(v: Tensor, grad: Tensor, lr: float) -> Tensor:
 # pruning
 # ---------------------------------------------------------------------------
 
-def prunable_layers(model: NoisePredictor, pattern: NMPattern) -> list[int]:
-    return [i for i, layer in enumerate(model.layers) if layer.in_features % pattern.m == 0]
-
-
 def prune_one_shot(
     model: NoisePredictor,
     pattern: NMPattern,
@@ -172,7 +137,7 @@ def prune_one_shot(
     power-of-two group size divides).  ``strict`` turns that skip into an
     error; a pattern that fits no layer at all always errors.
     """
-    fits = prunable_layers(model, pattern)
+    fits = [i for i, layer in enumerate(model.layers) if layer.in_features % pattern.m == 0]
     if not fits:
         shapes = ", ".join(f"{l.name}={l.in_features}" for l in model.layers)
         raise PatternError(f"group size {pattern.m} divides no layer input width ({shapes})")
@@ -191,15 +156,8 @@ def prune_one_shot(
     return model
 
 
-def _refresh_masks(model: NoisePredictor, pattern: NMPattern) -> None:
-    for i in prunable_layers(model, pattern):
-        layer = model.layers[i]
-        layer.mask = project_mask(layer.weight, pattern)
-        layer.pattern = pattern
-
-
 # ---------------------------------------------------------------------------
-# training loops
+# training loop
 # ---------------------------------------------------------------------------
 
 def _apply_grads(model: NoisePredictor, grads, lr: float, lambda_w: float) -> None:
@@ -210,72 +168,35 @@ def _apply_grads(model: NoisePredictor, grads, lr: float, lambda_w: float) -> No
         layer.bias = _sgd_vector(layer.bias, gb, lr)
 
 
-def _check_finite(value: float, step: int) -> None:
-    if not math.isfinite(value):
-        raise TrainingError(f"loss diverged at step {step}: {value}")
-
-
-def train_dense(
-    model: NoisePredictor,
-    dataset: ToyDataset,
-    sched: NoiseSchedule,
-    config: TrainConfig,
-) -> tuple[NoisePredictor, list[dict]]:
-    """Plain SGD noise-prediction training with all-ones masks."""
-    config.validate()
-    for layer in model.layers:
-        if layer.mask.bits.min() != 1:
-            raise ConfigError(f"dense training expects all-ones masks, layer {layer.name} is masked")
-    data_rng = stream(config.seed, "data")
-    noise_rng = stream(config.seed, "noise")
-    trace: list[dict] = []
-    for step in range(config.steps):
-        lr = config.lr_at(step)
-        batch = toy_batch(dataset, config.batch_size, data_rng)
-        tape = Tape()
-        loss = diffusion_loss(tape, model, batch, sched, noise_rng)
-        value = float(loss.data)
-        _check_finite(value, step)
-        grads = backward(tape, loss)
-        _apply_grads(model, grads, lr, lambda_w=0.0)
-        trace.append(
-            {
-                "step": step,
-                "loss_total": value,
-                "loss_diff": value,
-                "loss_dense": 0.0,
-                "active_pattern": "dense",
-                "sparsity": 0.0,
-            }
-        )
-    return model, trace
-
-
 def transfer_train(
     student: NoisePredictor,
-    teacher: NoisePredictor,
+    teacher: NoisePredictor | None,
     dataset: ToyDataset,
     sched: NoiseSchedule,
     config: TrainConfig,
-    schedule: MaskSchedule,
 ) -> tuple[NoisePredictor, list[dict]]:
-    """Sparse STE training with optional distillation from a frozen dense teacher.
+    """Train ``student`` under ``config``: dense, plain STE, progressive or with distillation.
 
-    Per step: refresh masks per policy, then minimize
+    Per step: re-project masks as the schedule says, then minimize
     ``lambda1 * mse(student, teacher)`` on noised teacher samples plus
     ``lambda2 * mse(student, eps)`` on noised data, and apply the regularized
-    straight-through update.  The teacher is only read, never updated.  With
-    lambda1 = 0, lambda_w = 0 and a single fixed pattern this reduces exactly
-    to the vanilla STE baseline.
+    straight-through update.  The teacher is only read, never updated, and
+    may be None when lambda1 = 0.  With lambda1 = 0, lambda_w = 0 and a
+    single pattern this is exactly the vanilla STE baseline; with an empty
+    schedule it is plain dense SGD, which needs all-ones masks.
     """
     config.validate()
-    if schedule.steps != config.steps:
-        raise ConfigError(f"schedule covers {schedule.steps} steps, config wants {config.steps}")
-    t_layers = teacher.layers
-    if len(t_layers) != len(student.layers) or any(
-        a.weight.shape != b.weight.shape for a, b in zip(student.layers, t_layers)
+    if teacher is None:
+        if config.lambda1 > 0.0:
+            raise ConfigError(f"lambda1 = {config.lambda1} needs a teacher to distill from")
+    elif len(teacher.layers) != len(student.layers) or any(
+        a.weight.shape != b.weight.shape for a, b in zip(student.layers, teacher.layers)
     ):
         raise ArchitectureError("student and teacher architectures differ")
+    if not config.schedule:
+        for layer in student.layers:
+            if layer.mask.bits.min() != 1:
+                raise ConfigError(f"dense training expects all-ones masks, layer {layer.name} is masked")
 
     data_rng = stream(config.seed, "data")
     noise_rng = stream(config.seed, "noise")
@@ -284,12 +205,11 @@ def transfer_train(
         distill_rng = stream(config.seed, "distill")
         bank = ddpm_sample(teacher, config.teacher_bank, sched, distill_rng).data
 
-    switches = schedule.switch_steps()
     trace: list[dict] = []
     for step in range(config.steps):
-        pattern = schedule.active(step)
-        if step in switches or (config.mask_refresh and step % config.mask_refresh == 0):
-            _refresh_masks(student, pattern)
+        pattern = config.pattern_at(step)
+        if config.projects_at(step):
+            prune_one_shot(student, pattern)
         lr = config.lr_at(step)
         batch = toy_batch(dataset, config.batch_size, data_rng)
 
@@ -314,7 +234,8 @@ def transfer_train(
             terms.append(scale(l_diff, config.lambda2, tape))
         total = terms[0] if len(terms) == 1 else add(terms[0], terms[1], tape)
         value_total = float(total.data)
-        _check_finite(value_total, step)
+        if not math.isfinite(value_total):
+            raise TrainingError(f"loss diverged at step {step}: {value_total}")
         grads = backward(tape, total)
         _apply_grads(student, grads, lr, config.lambda_w)
         trace.append(
@@ -323,8 +244,8 @@ def transfer_train(
                 "loss_total": value_total,
                 "loss_diff": value_diff,
                 "loss_dense": value_dense,
-                "active_pattern": str(pattern),
-                "sparsity": pattern.sparsity,
+                "active_pattern": "dense" if pattern is None else str(pattern),
+                "sparsity": 0.0 if pattern is None else pattern.sparsity,
             }
         )
     return student, trace

@@ -33,14 +33,7 @@ from sparsedm.sparsity import (
     spmm,
 )
 from sparsedm.tensor import Tape, Tensor, backward, mse_loss, silu
-from sparsedm.trainer import (
-    MaskSchedule,
-    TrainConfig,
-    prune_one_shot,
-    ste_update,
-    train_dense,
-    transfer_train,
-)
+from sparsedm.trainer import TrainConfig, prune_one_shot, ste_update, transfer_train
 
 
 def _timer():
@@ -229,7 +222,7 @@ def test_a07_transfer_quality_on_gauss8():
     teacher_eds, student_eds, untrained_eds = [], [], []
     for seed in (0, 1, 2):
         teacher = NoisePredictor.create(stream(seed, "init"))
-        teacher, _ = train_dense(teacher, ds, sched, TrainConfig(steps=2000, seed=seed))
+        teacher, _ = transfer_train(teacher, None, ds, sched, TrainConfig(steps=2000, seed=seed))
         ref = toy_batch(ds, n_eval, stream(seed, "eval"))
 
         def ed(model, seed=seed):
@@ -242,9 +235,8 @@ def test_a07_transfer_quality_on_gauss8():
         student = teacher.copy()
         prune_one_shot(student, pat)
         cfg = TrainConfig(steps=4000, lr=0.05, lambda_w=1e-4, lambda1=0.5,
-                          lambda2=0.5, seed=seed, teacher_bank=2048)
-        student, _ = transfer_train(student, teacher, ds, sched, cfg,
-                                    MaskSchedule.fixed(pat, 4000))
+                          lambda2=0.5, seed=seed, teacher_bank=2048, schedule=(pat,))
+        student, _ = transfer_train(student, teacher, ds, sched, cfg)
 
         te, se, ue = ed(teacher), ed(student), ed(untrained)
         teacher_eds.append(te)
@@ -342,15 +334,14 @@ def test_a10_reruns_and_roundtrips_byte_identical(tmp_path):
 def test_a11_vanilla_ste_baseline_bit_for_bit():
     t = _timer()
     sched = make_schedule(10, 1e-4, 0.02)
-    config = TrainConfig(steps=100, lambda1=0.0, lambda2=1.0, lambda_w=0.0,
-                         seed=9, lr=0.1, lr_schedule="cosine")
     pat = NMPattern(2, 4)
+    config = TrainConfig(steps=100, lambda1=0.0, lambda2=1.0, lambda_w=0.0,
+                         seed=9, lr=0.1, lr_schedule="cosine", schedule=(pat,))
     ds = ToyDataset("gauss8")
     teacher = NoisePredictor.create(stream(9, "init"), hidden=(32, 32))
     student = teacher.copy()
     prune_one_shot(student, pat)
-    got, _ = transfer_train(student, teacher, ds, sched, config,
-                            MaskSchedule.fixed(pat, 100))
+    got, _ = transfer_train(student, teacher, ds, sched, config)
 
     ref = teacher.copy()
     prune_one_shot(ref, pat)

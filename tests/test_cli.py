@@ -227,14 +227,34 @@ def test_bench_csv(tmp_path):
 
 
 def test_rerun_is_byte_identical(runs, tmp_path):
+    outputs = (CKPT_NAME, META_NAME, "trace.jsonl", "config.json")
     again = tmp_path / "again"
     assert main([
         "train-dense", "--out", str(again), "--data", "gauss8", "--steps", "60",
         "--batch-size", "32", "--T", "8", "--hidden", "64,32", "--seed", "1",
     ]) == 0
     dense = runs["dense"]
-    for name in (CKPT_NAME, META_NAME, "trace.jsonl", "config.json"):
+    for name in outputs:
         assert (again / name).read_bytes() == (dense / name).read_bytes()
+
+    # the fixture's sparse run, then a progressive run with frozen masks, twice
+    sparse_again = tmp_path / "sparse-again"
+    assert main([
+        "train-sparse", "--out", str(sparse_again), "--student", str(runs["pruned"]),
+        "--teacher", str(dense), "--steps", "24", "--batch-size", "32",
+        "--teacher-bank", "64", "--seed", "1",
+    ]) == 0
+    for name in outputs:
+        assert (sparse_again / name).read_bytes() == (runs["sparse"] / name).read_bytes()
+    p1, p2 = tmp_path / "p1", tmp_path / "p2"
+    for out in (p1, p2):
+        assert main([
+            "train-sparse", "--out", str(out), "--student", str(runs["pruned"]),
+            "--teacher", str(dense), "--steps", "20", "--batch-size", "16", "--teacher-bank", "32",
+            "--progressive", "4:4,2:4", "--switch-every", "8", "--freeze-masks",
+        ]) == 0
+    for name in outputs:
+        assert (p1 / name).read_bytes() == (p2 / name).read_bytes()
 
     e1, e2 = tmp_path / "e1", tmp_path / "e2"
     for out in (e1, e2):
@@ -300,6 +320,19 @@ def test_dense_student_needs_pattern(runs, tmp_path):
     assert rc == 2
 
 
+def test_train_sparse_pattern_fitting_no_layer_exits_3(runs, tmp_path, capsys):
+    # group size 5 divides none of the input widths 66, 64 and 32
+    capsys.readouterr()
+    rc = main([
+        "train-sparse", "--out", str(tmp_path / "x"), "--student", str(runs["pruned"]),
+        "--teacher", str(runs["dense"]), "--steps", "2", "--teacher-bank", "16", "--pattern", "1:5",
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "x" / CKPT_NAME).exists()
+
+
 def test_sample_rejects_bad_count(runs, tmp_path):
     rc = main(["sample", "--out", str(tmp_path / "x"), "--ckpt", str(runs["dense"]),
                "--n", "0"])
@@ -351,7 +384,7 @@ def test_truncated_checkpoint_exits_2(runs, tmp_path, capsys, keep):
     assert "checkpoint" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["trailing", "name", "sidecar"])
+@pytest.mark.parametrize("damage", ["trailing", "name", "sidecar", "list", "no-temb"])
 def test_corrupt_checkpoint_exits_2(runs, tmp_path, capsys, damage):
     bad = tmp_path / "bad"
     bad.mkdir()
@@ -361,8 +394,14 @@ def test_corrupt_checkpoint_exits_2(runs, tmp_path, capsys, damage):
         ckpt += b"\0"
     elif damage == "name":
         ckpt = ckpt[:12] + b"\xff" + ckpt[13:]  # first byte of the first entry name
-    else:
+    elif damage == "sidecar":
         meta = meta[: len(meta) // 2]
+    elif damage == "list":
+        meta = "[]"
+    else:
+        doc = json.loads(meta)
+        del doc["architecture"]["temb_dim"]
+        meta = json.dumps(doc)
     (bad / CKPT_NAME).write_bytes(ckpt)
     (bad / META_NAME).write_text(meta)
     capsys.readouterr()

@@ -20,7 +20,7 @@ from sparsedm.evalbench import (
 from sparsedm.rng import stream
 from sparsedm.sparsity import MaskedLinear, NMPattern, project_mask
 from sparsedm.tensor import Tensor
-from sparsedm.trainer import TrainConfig, prune_one_shot, train_dense
+from sparsedm.trainer import TrainConfig, prune_one_shot, transfer_train
 
 
 def _dense_layer(name, n_in, n_out):
@@ -209,8 +209,8 @@ def test_extreme_sparsity_not_better_than_24():
         layers = [_dense_layer_rng("fc1", 64, 64, r), _dense_layer_rng("fc2", 64, 64, r),
                   _dense_layer_rng("fc3", 64, 2, r)]
         teacher = NoisePredictor(layers=layers, temb_dim=62)
-        teacher, _ = train_dense(teacher, ToyDataset("gauss8"), sched,
-                                 TrainConfig(steps=800, seed=seed))
+        teacher, _ = transfer_train(teacher, None, ToyDataset("gauss8"), sched,
+                                    TrainConfig(steps=800, seed=seed))
         config = TrainConfig(steps=800, lambda1=0.0, lambda2=1.0, teacher_bank=64,
                              seed=seed, lr=0.05)
         rows = sweep_ratios(teacher, ["2:4", "1:32"], ToyDataset("gauss8"), sched,

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from sparsedm.errors import CompressionError, PatternError
 from sparsedm.sparsity import (
-    Compressed24,
     CompressedLinear,
     MaskedLinear,
     NMPattern,
@@ -208,13 +207,6 @@ def test_compress_rejects_value_outside_mask():
 def test_compress_rejects_indivisible_cols():
     with pytest.raises(PatternError):
         compress_2_4(Tensor(np.zeros((2, 6), np.float32)))
-
-
-def test_compressed_validate_rejects_descending_indices():
-    c = compress_2_4(Tensor(np.array([[0.0, 5.0, 0.0, 7.0]], np.float32)))
-    bad = Compressed24(rows=1, cols=4, values=c.values, indices=np.array([0b0111], np.uint8))
-    with pytest.raises(CompressionError):
-        bad.validate()
 
 
 def test_spmm_identity_like_selects_inputs():

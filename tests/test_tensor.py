@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,6 +72,24 @@ def test_bias_grad_is_batch_count(rng):
 
 def test_silu_zero():
     assert silu(Tensor(np.array(0.0))).data == 0.0
+
+
+def test_silu_large_magnitude():
+    big = float(np.finfo(np.float32).max)
+    x = np.array([100.0, -100.0, 1e4, -1e4, big, -big], np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tape = Tape()
+        xt = tape.param("x", Tensor(x))
+        out = silu(xt, tape)
+        grad = backward(tape, sum_all(out, tape))["x"].data
+    pos = x > 0
+    assert np.isfinite(out.data).all() and np.isfinite(grad).all()
+    assert np.array_equal(out.data[pos], x[pos])
+    assert np.array_equal(grad[pos], np.ones(3, np.float32))
+    # silu(-100) is about -4e-42, a float32 subnormal; the rest are exact zeros
+    tiny = np.finfo(np.float32).tiny
+    assert (np.abs(out.data[~pos]) < tiny).all() and (np.abs(grad[~pos]) < tiny).all()
 
 
 def test_silu_derivative_fd():

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,14 +9,7 @@ from sparsedm.errors import ArchitectureError, ConfigError, PatternError, Traini
 from sparsedm.rng import stream
 from sparsedm.sparsity import NMPattern, SparseMask, is_transposable, project_mask
 from sparsedm.tensor import Tensor
-from sparsedm.trainer import (
-    MaskSchedule,
-    TrainConfig,
-    prune_one_shot,
-    ste_update,
-    train_dense,
-    transfer_train,
-)
+from sparsedm.trainer import TrainConfig, prune_one_shot, ste_update, transfer_train
 
 
 def _model(seed=0, hidden=(32,)):
@@ -110,7 +104,9 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(steps=10, lambda1=1.5).validate()
     with pytest.raises(ConfigError):
-        TrainConfig(steps=10, mask_refresh=-2).validate()
+        TrainConfig(steps=10, switch_every=0).validate()
+    with pytest.raises(ConfigError):
+        TrainConfig(steps=10, schedule=("2:4",)).validate()
 
 
 def test_lr_schedule_shapes():
@@ -122,23 +118,35 @@ def test_lr_schedule_shapes():
     assert flat.lr_at(0) == flat.lr_at(99) == 0.2
 
 
-def test_mask_schedule_fixed_and_progressive():
-    fx = MaskSchedule.fixed(NMPattern(2, 4), 100)
-    assert fx.active(0) == fx.active(99) == NMPattern(2, 4)
-    assert fx.switch_steps() == {0}
+def _projections(config):
+    return {s for s in range(config.steps) if config.projects_at(s)}
 
-    pg = MaskSchedule.progressive([NMPattern(3, 4), NMPattern(2, 4)], 100, interval=50)
-    assert pg.active(0) == NMPattern(3, 4)
-    assert pg.active(49) == NMPattern(3, 4)
-    assert pg.active(50) == NMPattern(2, 4)
-    assert pg.switch_steps() == {0, 50}
+
+def test_mask_schedule_fixed_and_progressive():
+    fx = TrainConfig(steps=100, schedule=(NMPattern(2, 4),), freeze_masks=True)
+    assert fx.pattern_at(0) == fx.pattern_at(99) == NMPattern(2, 4)
+    assert _projections(fx) == {0}
+    assert _projections(replace(fx, freeze_masks=False)) == set(range(100))
+
+    pg = TrainConfig(steps=130, schedule=(NMPattern(3, 4), NMPattern(2, 4)), switch_every=50,
+                     freeze_masks=True)
+    assert pg.pattern_at(0) == NMPattern(3, 4)
+    assert pg.pattern_at(49) == NMPattern(3, 4)
+    assert pg.pattern_at(50) == pg.pattern_at(129) == NMPattern(2, 4)
+    assert _projections(pg) == {0, 50}
+
+    dense = TrainConfig(steps=10)
+    assert dense.pattern_at(0) is None and _projections(dense) == set()
 
 
 def test_mask_schedule_rejects_bad_partition():
+    # every pattern needs at least one step; the last one runs to the end
+    two = (NMPattern(3, 4), NMPattern(2, 4))
+    TrainConfig(steps=6, schedule=two, switch_every=5).validate()
     with pytest.raises(ConfigError):
-        MaskSchedule(entries=((NMPattern(2, 4), (0, 5)), (NMPattern(1, 4), (6, 10))), mode="progressive")
+        TrainConfig(steps=5, schedule=two, switch_every=5).validate()
     with pytest.raises(ConfigError):
-        MaskSchedule.progressive([], 100)
+        TrainConfig(steps=0, schedule=two[:1]).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -195,14 +203,17 @@ def test_prune_weights_untouched():
 
 
 # ---------------------------------------------------------------------------
-# dense training
+# dense training: no teacher, no schedule
 # ---------------------------------------------------------------------------
+
+def _train(model, sched, config):
+    return transfer_train(model, None, ToyDataset("gauss8"), sched, config)
+
 
 def test_train_dense_zero_steps_noop():
     model = _model()
     before = _checksum(model)
-    out, trace = train_dense(model, ToyDataset("gauss8"), make_schedule(10, 1e-4, 0.02),
-                             TrainConfig(steps=0))
+    out, trace = _train(model, make_schedule(10, 1e-4, 0.02), TrainConfig(steps=0))
     assert trace == []
     assert _checksum(out) == before
 
@@ -212,12 +223,13 @@ def test_train_dense_improves_loss_over_seeds():
     deltas = []
     for seed in range(3):
         model = _model(seed)
-        _, trace = train_dense(model, ToyDataset("gauss8"), sched,
-                               TrainConfig(steps=2000, seed=seed))
+        _, trace = _train(model, sched, TrainConfig(steps=2000, seed=seed))
         first = np.mean([r["loss_total"] for r in trace[:50]])
         last = np.mean([r["loss_total"] for r in trace[-50:]])
         deltas.append(last - first)
     assert np.mean(deltas) < 0
+    assert all(r["active_pattern"] == "dense" and r["sparsity"] == 0.0 and r["loss_dense"] == 0.0
+               for r in trace)
 
 
 def test_train_dense_deterministic():
@@ -225,8 +237,7 @@ def test_train_dense_deterministic():
 
     def run():
         model = _model(3)
-        out, trace = train_dense(model, ToyDataset("gauss8"), sched,
-                                 TrainConfig(steps=25, seed=3))
+        out, trace = _train(model, sched, TrainConfig(steps=25, seed=3))
         return _checksum(out), trace
 
     (c1, t1), (c2, t2) = run(), run()
@@ -238,16 +249,15 @@ def test_train_dense_rejects_masked_model():
     model = _model()
     prune_one_shot(model, NMPattern(2, 4))
     with pytest.raises(ConfigError):
-        train_dense(model, ToyDataset("gauss8"), make_schedule(10, 1e-4, 0.02),
-                    TrainConfig(steps=1))
+        _train(model, make_schedule(10, 1e-4, 0.02), TrainConfig(steps=1))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_train_dense_divergence_raises():
     model = _model()
     with pytest.raises(TrainingError):
-        train_dense(model, ToyDataset("gauss8"), make_schedule(10, 1e-4, 0.02),
-                    TrainConfig(steps=200, lr=2000.0, lr_schedule="constant"))
+        _train(model, make_schedule(10, 1e-4, 0.02),
+               TrainConfig(steps=200, lr=2000.0, lr_schedule="constant"))
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +268,16 @@ def test_transfer_distill_loss_zero_when_student_is_teacher():
     teacher = _model(5)
     student = teacher.copy()
     sched = make_schedule(10, 1e-4, 0.02)
-    config = TrainConfig(steps=3, lambda1=1.0, lambda2=0.0, lambda_w=0.0, lr=1e-9, seed=5)
-    schedule = MaskSchedule.fixed(NMPattern(32, 32), 3)
-    _, trace = transfer_train(student, teacher, ToyDataset("gauss8"),
-                              sched, config, schedule)
+    config = TrainConfig(steps=3, lambda1=1.0, lambda2=0.0, lambda_w=0.0, lr=1e-9, seed=5,
+                         schedule=(NMPattern(32, 32),))
+    _, trace = transfer_train(student, teacher, ToyDataset("gauss8"), sched, config)
     assert trace[0]["loss_dense"] == 0.0
+
+
+def test_transfer_needs_teacher_for_distillation():
+    config = TrainConfig(steps=2, lambda1=0.5, lambda2=0.5, schedule=(NMPattern(2, 4),))
+    with pytest.raises(ConfigError):
+        transfer_train(_model(), None, ToyDataset("gauss8"), make_schedule(10, 1e-4, 0.02), config)
 
 
 def test_transfer_teacher_unchanged():
@@ -271,9 +286,8 @@ def test_transfer_teacher_unchanged():
     student = teacher.copy()
     prune_one_shot(student, NMPattern(2, 4))
     sched = make_schedule(10, 1e-4, 0.02)
-    config = TrainConfig(steps=10, lambda1=0.5, lambda2=0.5, seed=1)
-    transfer_train(student, teacher, ToyDataset("gauss8"), sched,
-                   config, MaskSchedule.fixed(NMPattern(2, 4), 10))
+    config = TrainConfig(steps=10, lambda1=0.5, lambda2=0.5, seed=1, schedule=(NMPattern(2, 4),))
+    transfer_train(student, teacher, ToyDataset("gauss8"), sched, config)
     assert _checksum(teacher) == before
 
 
@@ -283,8 +297,8 @@ def test_transfer_masks_valid_after_run():
     prune_one_shot(student, NMPattern(2, 4))
     sched = make_schedule(10, 1e-4, 0.02)
     out, trace = transfer_train(student, teacher, ToyDataset("gauss8"), sched,
-                                TrainConfig(steps=15, lambda1=0.5, lambda2=0.5, seed=2),
-                                MaskSchedule.fixed(NMPattern(2, 4), 15))
+                                TrainConfig(steps=15, lambda1=0.5, lambda2=0.5, seed=2,
+                                            schedule=(NMPattern(2, 4),)))
     for layer in out.layers:
         if layer.pattern is not None:
             assert layer.mask.satisfies(NMPattern(2, 4))
@@ -295,10 +309,9 @@ def test_transfer_progressive_ends_with_tight_masks():
     teacher = _model(4)
     student = teacher.copy()
     sched = make_schedule(10, 1e-4, 0.02)
-    schedule = MaskSchedule.progressive([NMPattern(3, 4), NMPattern(2, 4)], 20, interval=10)
-    out, trace = transfer_train(student, teacher, ToyDataset("gauss8"), sched,
-                                TrainConfig(steps=20, lambda1=0.0, lambda2=1.0, seed=4),
-                                schedule)
+    config = TrainConfig(steps=20, lambda1=0.0, lambda2=1.0, seed=4,
+                         schedule=(NMPattern(3, 4), NMPattern(2, 4)), switch_every=10)
+    out, trace = transfer_train(student, teacher, ToyDataset("gauss8"), sched, config)
     assert trace[0]["active_pattern"] == "3:4"
     assert trace[-1]["active_pattern"] == "2:4"
     for layer in out.layers:
@@ -310,47 +323,51 @@ def test_transfer_rejects_mismatched_schedule_and_arch():
     teacher = _model(0)
     student = teacher.copy()
     sched = make_schedule(10, 1e-4, 0.02)
+    two = (NMPattern(3, 4), NMPattern(2, 4))
     with pytest.raises(ConfigError):
         transfer_train(student, teacher, ToyDataset("gauss8"), sched,
-                       TrainConfig(steps=5), MaskSchedule.fixed(NMPattern(2, 4), 6))
+                       TrainConfig(steps=5, schedule=two, switch_every=5))
     other = _model(0, hidden=(64,))
     with pytest.raises(ArchitectureError):
         transfer_train(student, other, ToyDataset("gauss8"), sched,
-                       TrainConfig(steps=5), MaskSchedule.fixed(NMPattern(2, 4), 5))
+                       TrainConfig(steps=5, schedule=two[1:]))
 
 
 def test_transfer_reduces_to_vanilla_ste_short():
-    # lambda1=0, lambda_w=0, fixed single pattern: bit-for-bit the plain loop
+    # lambda1=0 and one fixed pattern (lambda_w=0), or no pattern at all (dense
+    # pretraining, where lambda_w meets all-ones masks): bit-for-bit the plain loop
     from sparsedm.diffusion import diffusion_loss, toy_batch
     from sparsedm.tensor import Tape, backward
 
     sched = make_schedule(10, 1e-4, 0.02)
-    config = TrainConfig(steps=12, lambda1=0.0, lambda2=1.0, lambda_w=0.0, seed=8,
-                         lr=0.1, lr_schedule="cosine")
-
     teacher = _model(8)
-    student = teacher.copy()
-    prune_one_shot(student, NMPattern(2, 4))
-    got, _ = transfer_train(student, teacher, ToyDataset("gauss8"), sched,
-                            config, MaskSchedule.fixed(NMPattern(2, 4), 12))
+    for pattern, lambda_w in ((NMPattern(2, 4), 0.0), (None, 1e-4)):
+        config = TrainConfig(steps=12, lambda1=0.0, lambda2=1.0, lambda_w=lambda_w, seed=8,
+                             lr=0.1, lr_schedule="cosine", schedule=(pattern,) if pattern else ())
+        student = teacher.copy()
+        if pattern:
+            prune_one_shot(student, pattern)
+        got, trace = transfer_train(student, teacher, ToyDataset("gauss8"), sched, config)
 
-    ref = teacher.copy()
-    prune_one_shot(ref, NMPattern(2, 4))
-    data_rng = stream(8, "data")
-    noise_rng = stream(8, "noise")
-    for step in range(12):
-        for i, layer in enumerate(ref.layers):
-            if layer.in_features % 4 == 0:
-                layer.mask = project_mask(layer.weight, NMPattern(2, 4))
-        lr = config.lr_at(step)
-        batch = toy_batch(ToyDataset("gauss8"), config.batch_size, data_rng)
-        tape = Tape()
-        loss = diffusion_loss(tape, ref, batch, sched, noise_rng)
-        grads = backward(tape, loss)
-        for layer in ref.layers:
-            gw = grads[f"{layer.name}.weight"].data.astype(np.float64)
-            w64 = layer.weight.data.astype(np.float64)
-            layer.weight = Tensor(w64 - lr * gw)
-            layer.bias = Tensor(layer.bias.data.astype(np.float64)
-                                - lr * grads[f"{layer.name}.bias"].data.astype(np.float64))
-    assert _checksum(got) == _checksum(ref)
+        ref = teacher.copy()
+        data_rng = stream(8, "data")
+        noise_rng = stream(8, "noise")
+        losses = []
+        for step in range(12):
+            for layer in ref.layers:
+                if pattern and layer.in_features % pattern.m == 0:
+                    layer.mask = project_mask(layer.weight, pattern)
+            lr = config.lr_at(step)
+            batch = toy_batch(ToyDataset("gauss8"), config.batch_size, data_rng)
+            tape = Tape()
+            loss = diffusion_loss(tape, ref, batch, sched, noise_rng)
+            losses.append(float(loss.data))
+            grads = backward(tape, loss)
+            for layer in ref.layers:
+                gw = grads[f"{layer.name}.weight"].data.astype(np.float64)
+                w64 = layer.weight.data.astype(np.float64)
+                layer.weight = Tensor(w64 - lr * gw)
+                layer.bias = Tensor(layer.bias.data.astype(np.float64)
+                                    - lr * grads[f"{layer.name}.bias"].data.astype(np.float64))
+        assert _checksum(got) == _checksum(ref)
+        assert [r["loss_total"] for r in trace] == losses
