@@ -1,104 +1,3 @@
 """Structured N:M sparsity for tiny diffusion models: prune, retrain, run compressed."""
 
-from .diffusion import (
-    DATASETS,
-    NoisePredictor,
-    NoiseSchedule,
-    ToyDataset,
-    ddpm_sample,
-    inference_forward,
-    make_schedule,
-    q_sample,
-    time_embedding,
-    toy_batch,
-)
-from .errors import (
-    ArchitectureError,
-    CompressedPathError,
-    CompressionError,
-    ConfigError,
-    DimensionError,
-    PatternError,
-    TrainingError,
-)
-from .evalbench import (
-    BenchRecord,
-    MacsReport,
-    bench_spmm,
-    energy_distance,
-    macs_count,
-    sweep_ratios,
-)
-from .rng import STREAMS, derive_seed, stream
-from .sparsity import (
-    Compressed24,
-    MaskedLinear,
-    NMPattern,
-    SparseMask,
-    apply_mask,
-    compress_2_4,
-    decompress,
-    is_transposable,
-    make_transposable,
-    project_mask,
-    spmm,
-    spmm_macs,
-)
-from .tensor import Tape, Tensor, backward
-from .trainer import (
-    TrainConfig,
-    prune_one_shot,
-    ste_update,
-    transfer_train,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ArchitectureError",
-    "BenchRecord",
-    "CompressedPathError",
-    "CompressionError",
-    "Compressed24",
-    "ConfigError",
-    "DATASETS",
-    "DimensionError",
-    "MaskedLinear",
-    "MacsReport",
-    "NMPattern",
-    "NoisePredictor",
-    "NoiseSchedule",
-    "PatternError",
-    "STREAMS",
-    "SparseMask",
-    "Tape",
-    "Tensor",
-    "ToyDataset",
-    "TrainConfig",
-    "TrainingError",
-    "apply_mask",
-    "backward",
-    "bench_spmm",
-    "compress_2_4",
-    "ddpm_sample",
-    "decompress",
-    "derive_seed",
-    "energy_distance",
-    "inference_forward",
-    "is_transposable",
-    "macs_count",
-    "make_schedule",
-    "make_transposable",
-    "project_mask",
-    "prune_one_shot",
-    "q_sample",
-    "spmm",
-    "spmm_macs",
-    "ste_update",
-    "stream",
-    "sweep_ratios",
-    "time_embedding",
-    "toy_batch",
-    "transfer_train",
-    "__version__",
-]

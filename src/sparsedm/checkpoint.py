@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diffusion import NoisePredictor, NoiseSchedule, make_schedule
+from .diffusion import DATA_DIM, NoisePredictor, NoiseSchedule, make_schedule
 from .errors import ArchitectureError, ConfigError
 from .sparsity import MaskedLinear, NMPattern, SparseMask
 from .tensor import Tensor
@@ -167,22 +167,26 @@ def load_model(path) -> tuple[NoisePredictor, NoiseSchedule, dict]:
     for rec in meta["layers"]:
         name = rec["name"]
         try:
-            _, w = entries[f"{name}.weight"]
-            _, b = entries[f"{name}.bias"]
-            _, m = entries[f"{name}.mask"]
+            (kw, w), (kb, b), (km, m) = (entries[f"{name}.{part}"] for part in ("weight", "bias", "mask"))
         except KeyError as e:
             raise ArchitectureError(f"checkpoint missing entry for layer {name}: {e}") from None
-        pat = rec.get("pattern")
-        layers.append(
-            MaskedLinear(
-                name=name,
-                weight=Tensor(w),
-                bias=Tensor(b),
-                mask=SparseMask(m),
-                pattern=NMPattern.parse(pat) if pat else None,
-            )
-        )
+        if (kw, kb, km) != (KIND_FLOAT, KIND_FLOAT, KIND_MASK):
+            raise ConfigError(f"{ckpt_path}: layer {name} entries have kinds {(kw, kb, km)}, expected (0, 0, 1)")
+        if w.ndim != 2 or m.shape != w.shape or b.shape != w.shape[:1]:
+            raise ArchitectureError(f"layer {name}: weight {w.shape}, bias {b.shape} and mask {m.shape} disagree")
+        pat = NMPattern.parse(rec["pattern"]) if rec.get("pattern") else None
+        mask = SparseMask(m)
+        # a dense layer's mask must be all ones, which is what 1:1 asks of every entry
+        if not mask.satisfies(pat or NMPattern(1, 1)):
+            raise ConfigError(f"{ckpt_path}: layer {name} mask does not satisfy its recorded pattern {pat or 'dense'}")
+        layers.append(MaskedLinear(name=name, weight=Tensor(w), bias=Tensor(b), mask=mask, pattern=pat))
     model = NoisePredictor(layers=layers, temb_dim=meta["architecture"]["temb_dim"])
+    widths = [DATA_DIM + model.temb_dim] + [l.out_features for l in layers]
+    if [l.in_features for l in layers] != widths[:-1] or widths[-1] != DATA_DIM:
+        raise ArchitectureError(
+            f"layer shapes {[l.weight.shape for l in layers]} do not chain from input "
+            f"{DATA_DIM + model.temb_dim} to output {DATA_DIM}"
+        )
     s = meta["schedule"]
     sched = make_schedule(s["T"], float(s["beta_start"]), float(s["beta_end"]))
     return model, sched, meta

@@ -39,8 +39,8 @@ from .evalbench import (
     write_sweep_csv,
 )
 from .rng import stream
-from .sparsity import NMPattern, is_transposable
-from .trainer import LR_SCHEDULES, TrainConfig, prune_one_shot, transfer_train
+from .sparsity import NMPattern
+from .trainer import LR_SCHEDULES, TrainConfig, has_transposable_mask, prune_one_shot, transfer_train
 
 METRIC_NAME = "energy_distance(FID proxy)"
 
@@ -286,9 +286,7 @@ def cmd_prune(args) -> int:
                   f"not divisible by {pattern.m})")
         else:
             zeros = float((layer.mask.bits == 0).mean())
-            extra = ""
-            if cfg["transposable"] and layer.out_features % pattern.m == 0 and (pattern.n, pattern.m) == (2, 4):
-                extra = ", transposable" if is_transposable(layer.mask, pattern) else ""
+            extra = ", transposable" if has_transposable_mask(layer) else ""
             print(f"{layer.name}: pattern {layer.pattern} sparsity {zeros:.3f}{extra}")
     ckpt.save_model(out, model, sched, meta.get("seed", cfg["seed"]), extra={"label": f"pruned-{pattern}"})
     print(f"wrote {out / ckpt.CKPT_NAME}")
@@ -334,18 +332,12 @@ def cmd_sample(args) -> int:
     cfg = _merge_config("sample", args)
     out = _out_dir(args)
     model, sched, _ = ckpt.load_model(args.ckpt)
-    compressed = cfg["compressed"]
-    if compressed:
-        masked = [l for l in model.layers if l.pattern is not None]
-        if not masked or any((l.pattern.n, l.pattern.m) != (2, 4) for l in masked):
-            raise CompressedPathError(
-                "--compressed needs a 2:4 checkpoint; prune to 2:4 first"
-            )
     n = cfg["n"]
     if n < 1:
         raise ConfigError(f"sample count must be >= 1, got {n}")
+    # a model the compressed path refuses fails here, before anything is written
+    pts = ddpm_sample(model, n, sched, stream(cfg["seed"], "sample"), compressed=cfg["compressed"]).data
     _echo_config(out, "sample", cfg)
-    pts = ddpm_sample(model, n, sched, stream(cfg["seed"], "sample"), compressed=compressed).data
     _write_samples_csv(out / "samples.csv", pts)
     if cfg["svg"]:
         _write_scatter_svg(out / "samples.svg", pts)

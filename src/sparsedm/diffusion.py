@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArchitectureError, ConfigError, DimensionError
+from .errors import ArchitectureError, CompressedPathError, ConfigError, DimensionError, TrainingError
 from .sparsity import CompressedLinear, MaskedLinear, NMPattern, masked_linear_forward
 from .tensor import Tape, Tensor, mse_loss, silu
 
@@ -143,11 +143,15 @@ class NoisePredictor:
 def inference_forward(model: NoisePredictor, n_steps: int, compressed: bool = False):
     """Tape-free ``fwd(x, t)`` over ``model.forward``; optionally run 2:4 layers via spmm.
 
-    Compressed forms are captured once, so the model must stay frozen for the
-    lifetime of the closure.
+    The compressed path needs a 2:4 model: at least one masked layer, and
+    every masked layer 2:4.  Compressed forms are captured once, so the model
+    must stay frozen for the lifetime of the closure.
     """
     if compressed:
-        layers = [CompressedLinear.from_masked(layer) if layer.pattern == NMPattern(2, 4) else layer
+        patterns = {layer.pattern for layer in model.layers} - {None}
+        if patterns != {NMPattern(2, 4)}:
+            raise CompressedPathError("the compressed path needs a 2:4 model; prune to 2:4 first")
+        layers = [layer if layer.pattern is None else CompressedLinear.from_masked(layer)
                   for layer in model.layers]
         model = NoisePredictor(layers=layers, temb_dim=model.temb_dim)
 
@@ -164,7 +168,10 @@ def ddpm_sample(
     rng: np.random.Generator,
     compressed: bool = False,
 ) -> Tensor:
-    """Ancestral sampling from pure noise; deterministic given the generator state."""
+    """Ancestral sampling from pure noise; deterministic given the generator state.
+
+    Non-finite samples raise ``TrainingError``, as a diverged training loss does.
+    """
     if n < 0:
         raise ConfigError(f"sample count must be >= 0, got {n}")
     fwd = inference_forward(model, sched.T, compressed)
@@ -177,6 +184,8 @@ def ddpm_sample(
             x = (mu.astype(np.float64) + np.sqrt(sched.beta[t]) * z).astype(np.float32)
         else:
             x = mu
+    if not np.isfinite(x).all():
+        raise TrainingError(f"sampling diverged: {np.count_nonzero(~np.isfinite(x))} non-finite coordinates")
     return Tensor(x)
 
 

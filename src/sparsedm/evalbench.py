@@ -6,9 +6,7 @@ exact pairwise sums, as a cheap stand-in for feature-space metrics.
 """
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,8 +17,6 @@ from .errors import ConfigError, PatternError
 from .rng import derive_seed, stream
 from .sparsity import NMPattern, Tensor, apply_mask, compress_2_4, project_mask, spmm, spmm_macs
 from .trainer import TrainConfig, transfer_train
-
-THREADS_ENV = "SPARSEDM_THREADS"
 
 # the ten keep ratios of the standard sweep, densest first
 DEFAULT_SWEEP_PATTERNS = tuple(
@@ -102,14 +98,6 @@ def energy_distance(a, b) -> float:
 # ratio sweep
 # ---------------------------------------------------------------------------
 
-def _worker_count(n_entries: int) -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        limit = max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    return min(limit, n_entries)
-
 def _sweep_entry(pattern, teacher, dataset, sched, config, n_eval, ref):
     # key the derived seed on the pattern itself so reordering the request
     # list cannot change any row
@@ -137,9 +125,8 @@ def sweep_ratios(
 ) -> list[dict]:
     """Prune + transfer-train one student per pattern; one fully isolated row each.
 
-    Rows come back sorted by pattern sparsity.  Entries are independent
-    (per-entry derived seeds), so the bounded worker pool never changes the
-    numbers, only the wall time.
+    Rows come back sorted by pattern sparsity.  Each entry derives its seeds
+    from its own pattern, so the request order never changes a row.
     """
     patterns = [p if isinstance(p, NMPattern) else NMPattern.parse(p) for p in patterns]
     if not patterns:
@@ -148,15 +135,8 @@ def sweep_ratios(
     if n_eval < 2:
         raise ConfigError(f"n_eval must be >= 2, got {n_eval}")
     ref = toy_batch(dataset, n_eval, stream(config.seed, "eval")).data
-    workers = _worker_count(len(patterns))
-    args = [(p, teacher, dataset, sched, config, n_eval, ref) for p in patterns]
-    if workers == 1:
-        rows = [_sweep_entry(*a) for a in args]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda a: _sweep_entry(*a), args))
-    rows.sort(key=lambda r: r["sparsity"])
-    return rows
+    rows = [_sweep_entry(p, teacher, dataset, sched, config, n_eval, ref) for p in patterns]
+    return sorted(rows, key=lambda r: r["sparsity"])
 
 
 # ---------------------------------------------------------------------------

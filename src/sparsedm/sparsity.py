@@ -210,41 +210,26 @@ def _pack_crumbs(u: np.ndarray) -> np.ndarray:
     return (q[:, 0] | (q[:, 1] << 2) | (q[:, 2] << 4) | (q[:, 3] << 6)).astype(np.uint8)
 
 
-def compress_2_4(w: Tensor, mask: SparseMask | None = None) -> Compressed24:
-    """Compress a 2:4-sparse matrix; pass the mask to keep explicit zeros lossless.
-
-    Without a mask the kept positions come from the nonzeros of each group
-    (padded with the lowest free positions when a group has fewer than two).
-    A group carrying more than two nonzeros is a contract violation.
-    """
+def compress_2_4(w: Tensor, mask: SparseMask) -> Compressed24:
+    """Compress a 2:4-sparse matrix at its mask's kept positions, so explicit zeros stay lossless."""
     if w.data.ndim != 2:
         raise DimensionError(f"compress_2_4 needs a 2-d weight, got {w.shape}")
     rows, cols = w.shape
     if cols % 4:
         raise PatternError(f"input width {cols} not divisible by 4")
+    if mask.shape != w.shape:
+        raise DimensionError(f"weight {w.shape} and mask {mask.shape} differ")
     groups = w.data.reshape(rows, cols // 4, 4)
-    if mask is not None:
-        if mask.shape != w.shape:
-            raise DimensionError(f"weight {w.shape} and mask {mask.shape} differ")
-        bits = mask.bits.reshape(rows, cols // 4, 4)
-        counts = bits.sum(axis=2)
-        if not (counts == 2).all():
-            r, g = np.argwhere(counts != 2)[0]
-            raise CompressionError(f"mask group ({r},{g}) keeps {counts[r, g]} entries, need 2")
-        if (groups * (1 - bits)).any():
-            r, g = np.argwhere((groups * (1 - bits)).any(axis=2))[0]
-            raise CompressionError(f"nonzero weight outside mask in group ({r},{g})")
-        occupied = bits.astype(bool)
-    else:
-        occupied = groups != 0
-        counts = occupied.sum(axis=2)
-        if (counts > 2).any():
-            r, g = np.argwhere(counts > 2)[0]
-            raise CompressionError(f"group ({r},{g}) has {counts[r, g]} nonzeros, 2:4 allows 2")
-    # rank nonzero (or masked-in) positions first, each side ordered by column
-    pos = np.arange(4, dtype=np.int64)
-    rank = np.where(occupied, pos, pos + 4)
-    keep = np.sort(np.argsort(rank, axis=2, kind="stable")[:, :, :2], axis=2)
+    bits = mask.bits.reshape(rows, cols // 4, 4)
+    counts = bits.sum(axis=2)
+    if not (counts == 2).all():
+        r, g = np.argwhere(counts != 2)[0]
+        raise CompressionError(f"mask group ({r},{g}) keeps {counts[r, g]} entries, need 2")
+    if (groups * (1 - bits)).any():
+        r, g = np.argwhere((groups * (1 - bits)).any(axis=2))[0]
+        raise CompressionError(f"nonzero weight outside mask in group ({r},{g})")
+    # a stable sort puts the two kept positions first, in column order
+    keep = np.argsort(1 - bits, axis=2, kind="stable")[:, :, :2]
     values = np.take_along_axis(groups, keep, axis=2).reshape(-1).astype(np.float32)
     indices = _pack_crumbs(keep.reshape(-1))
     return Compressed24(rows=rows, cols=cols, values=values, indices=indices)

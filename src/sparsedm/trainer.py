@@ -25,7 +25,7 @@ import numpy as np
 from .diffusion import NoisePredictor, NoiseSchedule, ToyDataset, ddpm_sample, diffusion_loss, q_sample, toy_batch
 from .errors import ArchitectureError, ConfigError, DimensionError, PatternError, TrainingError
 from .rng import stream
-from .sparsity import NMPattern, SparseMask, make_transposable, project_mask
+from .sparsity import MaskedLinear, NMPattern, SparseMask, is_transposable, make_transposable, project_mask
 from .tensor import Tape, Tensor, add, backward, mse_loss, scale
 
 LR_SCHEDULES = ("constant", "cosine")
@@ -124,6 +124,16 @@ def _sgd_vector(v: Tensor, grad: Tensor, lr: float) -> Tensor:
 # pruning
 # ---------------------------------------------------------------------------
 
+def _transposes(layer: MaskedLinear, pattern: NMPattern | None) -> bool:
+    """Whether a transposable mask fits a layer the pattern already fits: 2:4 with 4 | rows."""
+    return pattern == NMPattern(2, 4) and layer.out_features % 4 == 0
+
+
+def has_transposable_mask(layer: MaskedLinear) -> bool:
+    """True when the layer's 2:4 mask also holds 2 of every 4 down each column."""
+    return _transposes(layer, layer.pattern) and is_transposable(layer.mask, layer.pattern)
+
+
 def prune_one_shot(
     model: NoisePredictor,
     pattern: NMPattern,
@@ -148,7 +158,7 @@ def prune_one_shot(
         )
     for i in fits:
         layer = model.layers[i]
-        if transposable and (pattern.n, pattern.m) == (2, 4) and layer.out_features % pattern.m == 0:
+        if transposable and _transposes(layer, pattern):
             layer.mask = make_transposable(layer.weight, pattern)
         else:
             layer.mask = project_mask(layer.weight, pattern)
@@ -183,7 +193,8 @@ def transfer_train(
     straight-through update.  The teacher is only read, never updated, and
     may be None when lambda1 = 0.  With lambda1 = 0, lambda_w = 0 and a
     single pattern this is exactly the vanilla STE baseline; with an empty
-    schedule it is plain dense SGD, which needs all-ones masks.
+    schedule it is plain dense SGD, which needs all-ones masks.  A student
+    carrying a transposable 2:4 mask re-projects its 2:4 masks transposably.
     """
     config.validate()
     if teacher is None:
@@ -198,6 +209,7 @@ def transfer_train(
             if layer.mask.bits.min() != 1:
                 raise ConfigError(f"dense training expects all-ones masks, layer {layer.name} is masked")
 
+    transposable = any(has_transposable_mask(layer) for layer in student.layers)
     data_rng = stream(config.seed, "data")
     noise_rng = stream(config.seed, "noise")
     use_distill = config.lambda1 > 0.0
@@ -209,7 +221,7 @@ def transfer_train(
     for step in range(config.steps):
         pattern = config.pattern_at(step)
         if config.projects_at(step):
-            prune_one_shot(student, pattern)
+            prune_one_shot(student, pattern, transposable)
         lr = config.lr_at(step)
         batch = toy_batch(dataset, config.batch_size, data_rng)
 

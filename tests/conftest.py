@@ -1,5 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# every run explores the same examples; tests keep their own max_examples
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

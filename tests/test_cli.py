@@ -1,11 +1,26 @@
 """End-to-end CLI coverage: every subcommand, file outputs, exit codes."""
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sparsedm.checkpoint import CKPT_NAME, META_NAME, file_checksum, load_model, model_checksum
+from sparsedm.checkpoint import (
+    CKPT_NAME,
+    KIND_MASK,
+    META_NAME,
+    file_checksum,
+    load_model,
+    model_checksum,
+    read_entries,
+    write_entries,
+)
 from sparsedm.cli import METRIC_NAME, main
 from sparsedm.diffusion import NoisePredictor
 from sparsedm.evalbench import BENCH_HEADER, REPORT_SCHEMA, SWEEP_HEADER
@@ -171,10 +186,13 @@ def test_sample_compressed_matches_masked(runs, tmp_path):
     assert np.abs(a - b).max() <= 1e-4
 
 
-def test_sample_compressed_needs_24_checkpoint(runs, tmp_path):
+def test_sample_compressed_needs_24_checkpoint(runs, tmp_path, capsys):
+    capsys.readouterr()
     rc = main(["sample", "--out", str(tmp_path / "x"), "--ckpt", str(runs["dense"]),
                "--n", "4", "--compressed"])
     assert rc == 5
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "x" / "config.json").exists()
 
 
 def test_eval_report_schema_and_dense_reduction(runs, tmp_path):
@@ -408,3 +426,150 @@ def test_corrupt_checkpoint_exits_2(runs, tmp_path, capsys, damage):
     assert main(["sample", "--out", str(tmp_path / "s"), "--ckpt", str(bad), "--n", "4"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("freeze", [[], ["--freeze-masks"]], ids=["reprojected", "frozen"])
+def test_train_sparse_keeps_transposable_masks(runs, tmp_path, freeze):
+    pruned, out = tmp_path / "pt", tmp_path / "st"
+    assert main(["prune", "--out", str(pruned), "--ckpt", str(runs["dense"]), "--transposable"]) == 0
+    assert main([
+        "train-sparse", "--out", str(out), "--student", str(pruned), "--teacher", str(runs["dense"]),
+        "--steps", "5", "--batch-size", "16", "--teacher-bank", "16",
+    ] + freeze) == 0
+    pat = NMPattern(2, 4)
+    fc2 = load_model(out)[0].layers[1]
+    assert fc2.pattern == pat and is_transposable(fc2.mask, pat)
+    # a student pruned row-wise stays row-wise
+    assert not is_transposable(load_model(runs["sparse"])[0].layers[1].mask, pat)
+
+
+def _damaged_copy(src, dst, edit):
+    """Copy a checkpoint into dst after ``edit(entries, meta)`` changes it in place."""
+    dst.mkdir()
+    entries = {name: (kind, arr) for name, kind, arr in read_entries(src / CKPT_NAME)}
+    meta = json.loads((src / META_NAME).read_text())
+    edit(entries, meta)
+    write_entries(dst / CKPT_NAME, [(name, kind, arr) for name, (kind, arr) in entries.items()])
+    (dst / META_NAME).write_text(json.dumps(meta))
+    return dst
+
+
+def _resize_rows(entries, layer, rows):
+    """Give a layer ``rows`` output rows, cycling its existing ones."""
+    for part in ("weight", "bias", "mask"):
+        kind, arr = entries[f"{layer}.{part}"]
+        entries[f"{layer}.{part}"] = (kind, arr[np.arange(rows) % len(arr)])
+
+
+def _set_pattern(meta, layer, pattern):
+    next(rec for rec in meta["layers"] if rec["name"] == layer)["pattern"] = pattern
+
+
+@pytest.mark.parametrize("damage", ["mask-shape", "bias-length", "no-chain", "input-width", "output-width"])
+def test_inconsistent_layer_shapes_exit_4(runs, tmp_path, capsys, damage):
+    def edit(entries, meta):
+        if damage == "mask-shape":
+            entries["fc2.mask"] = (KIND_MASK, entries["fc2.mask"][1][:, :32])
+        elif damage == "bias-length":
+            entries["fc2.bias"] = (entries["fc2.bias"][0], entries["fc2.bias"][1][:-1])
+        elif damage == "no-chain":
+            _resize_rows(entries, "fc2", 28)  # fc3 still reads 32
+        elif damage == "input-width":
+            meta["architecture"]["temb_dim"] = 32
+        else:
+            _resize_rows(entries, "fc3", 3)
+
+    bad = _damaged_copy(runs["pruned"], tmp_path / "bad", edit)
+    capsys.readouterr()
+    assert main(["sample", "--out", str(tmp_path / "s"), "--ckpt", str(bad), "--n", "4"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["sample", "--compressed"], ["eval"]], ids=["sample", "eval"])
+@pytest.mark.parametrize("src,layer,pattern", [
+    ("dense", "fc2", "2:4"),     # a 2:4 claim over an all-ones mask
+    ("pruned", "fc2", None),     # a dense claim over a pruned mask
+    ("pruned", "fc3", "1:4"),    # another pattern than the mask's
+])
+def test_mask_disagreeing_with_pattern_exits_2(runs, tmp_path, capsys, argv, src, layer, pattern):
+    bad = _damaged_copy(runs[src], tmp_path / "bad", lambda e, meta: _set_pattern(meta, layer, pattern))
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "x"), "--ckpt", str(bad), "--n", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "recorded pattern" in err
+    assert not (tmp_path / "x" / "config.json").exists()
+
+
+@pytest.mark.parametrize("argv,written", [
+    (["sample", "--n", "8"], "samples.csv"),
+    (["eval", "--n", "8"], "report.json"),
+    (["sweep", "--patterns", "2:4", "--steps", "2", "--teacher-bank", "16", "--n-eval", "16"], "sweep.csv"),
+], ids=["sample", "eval", "sweep"])
+def test_non_finite_samples_exit_1(runs, tmp_path, capsys, argv, written):
+    def blow_up(entries, meta):
+        for name, (kind, arr) in entries.items():
+            if name.endswith(".weight"):
+                entries[name] = (kind, np.full_like(arr, 1e30))
+
+    bad = _damaged_copy(runs["dense"], tmp_path / "bad", blow_up)
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "x"), "--ckpt", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sampling diverged") and "Traceback" not in err
+    assert not (tmp_path / "x" / written).exists()
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    """A hidden-32, T-5 checkpoint pruned to 2:4: its bytes, sidecar and mask payload spans."""
+    base = tmp_path_factory.mktemp("tiny")
+    assert main(["train-dense", "--out", str(base / "d"), "--steps", "2", "--batch-size", "8",
+                 "--T", "5", "--hidden", "32"]) == 0
+    assert main(["prune", "--out", str(base / "p"), "--ckpt", str(base / "d")]) == 0
+    blob = (base / "p" / CKPT_NAME).read_bytes()
+    spans, off = [], 10  # magic, version, count
+    for name, kind, arr in read_entries(base / "p" / CKPT_NAME):
+        off += 2 + len(name.encode()) + 2 + 4 * arr.ndim
+        size = (arr.size + 7) // 8 if kind == KIND_MASK else 4 * arr.size
+        if kind == KIND_MASK:
+            spans.append((off, off + size))
+        off += size
+    assert off == len(blob)
+    return blob, json.loads((base / "p" / META_NAME).read_text()), spans
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_damaged_checkpoint_exits_with_documented_code(tiny, data):
+    """Truncations, single bit flips and sidecar pattern edits end in an exit code, never a traceback."""
+    blob, meta, spans = tiny
+    damage = data.draw(st.sampled_from(["truncate", "flip", "flip-mask", "pattern"]))
+    blob, meta = bytearray(blob), json.loads(json.dumps(meta))
+    if damage == "truncate":
+        del blob[data.draw(st.integers(0, len(blob) - 1)):]
+    elif damage == "pattern":
+        rec = data.draw(st.sampled_from(meta["layers"]))
+        rec["pattern"] = data.draw(st.none() | st.text("0124:", max_size=4))
+    else:
+        lo, hi = data.draw(st.sampled_from(spans)) if damage == "flip-mask" else (0, len(blob))
+        bit = data.draw(st.integers(8 * lo, 8 * hi - 1))
+        blob[bit // 8] ^= 1 << (bit % 8)
+    compressed = data.draw(st.booleans())
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = Path(tmp) / "ckpt"
+        ckpt.mkdir()
+        (ckpt / CKPT_NAME).write_bytes(bytes(blob))
+        (ckpt / META_NAME).write_text(json.dumps(meta))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["sample", "--out", str(Path(tmp) / "s"), "--ckpt", str(ckpt), "--n", "8"]
+                      + ["--compressed"] * compressed)
+        assert rc in {0, 1, 2, 3, 4, 5}
+        if rc:
+            assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
+        else:
+            # a run that succeeds loaded masks that keep their patterns and drew finite samples
+            for layer in load_model(ckpt)[0].layers:
+                assert layer.mask.satisfies(layer.pattern or NMPattern(1, 1))
+            assert np.isfinite(_read_csv_points(Path(tmp) / "s" / "samples.csv")).all()

@@ -14,8 +14,9 @@ from sparsedm.diffusion import (
     time_embedding,
     toy_batch,
 )
-from sparsedm.errors import ArchitectureError, ConfigError
-from sparsedm.sparsity import MaskedLinear
+from sparsedm.errors import ArchitectureError, CompressedPathError, ConfigError
+from sparsedm.sparsity import MaskedLinear, NMPattern
+from sparsedm.trainer import prune_one_shot
 from sparsedm.tensor import Tape, Tensor, backward
 from sparsedm.rng import stream
 
@@ -215,6 +216,15 @@ def test_sampler_deterministic():
     a = ddpm_sample(model, 16, s, stream(5, "sample")).data
     b = ddpm_sample(model, 16, s, stream(5, "sample")).data
     assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("pattern", [None, NMPattern(1, 4)], ids=["dense", "1:4"])
+def test_compressed_sampling_needs_24_model(pattern):
+    model = NoisePredictor.create(stream(0, "init"), hidden=(32,))
+    if pattern is not None:
+        prune_one_shot(model, pattern)
+    with pytest.raises(CompressedPathError):
+        ddpm_sample(model, 4, make_schedule(5), stream(0, "sample"), compressed=True)
 
 
 class _GaussOracle:

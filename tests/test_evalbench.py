@@ -140,27 +140,6 @@ def test_sweep_deterministic_and_order_independent():
     assert a == b
 
 
-def test_sweep_thread_env_does_not_change_numbers(monkeypatch):
-    teacher = NoisePredictor.create(stream(3, "init"), hidden=(32,))
-    sched = make_schedule(5, 1e-4, 0.02)
-    config = TrainConfig(steps=3, batch_size=16, lambda1=0.0, lambda2=1.0,
-                         teacher_bank=32, seed=3)
-    args = (teacher, ["2:4", "1:4", "1:8"], ToyDataset("gauss8"), sched, config)
-    monkeypatch.setenv("SPARSEDM_THREADS", "1")
-    serial = sweep_ratios(*args, n_eval=32)
-    monkeypatch.setenv("SPARSEDM_THREADS", "3")
-    parallel = sweep_ratios(*args, n_eval=32)
-    assert serial == parallel
-
-
-def test_sweep_rejects_bad_thread_env(monkeypatch):
-    monkeypatch.setenv("SPARSEDM_THREADS", "zero")
-    teacher = NoisePredictor.create(stream(0, "init"), hidden=(32,))
-    with pytest.raises(ConfigError):
-        sweep_ratios(teacher, ["2:4"], ToyDataset("gauss8"), make_schedule(5, 1e-4, 0.02),
-                     TrainConfig(steps=1, teacher_bank=16), n_eval=16)
-
-
 def test_bench_records_and_accuracy():
     records = bench_spmm([(64, 64, 8), (32, 128, 4)], reps=3, seed=0)
     assert len(records) == 2

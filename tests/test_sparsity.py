@@ -168,7 +168,7 @@ def test_ste_weight_grad_matches_fd_at_effective_weight(rng):
 
 def test_compress_known_row():
     w = Tensor(np.array([[0.0, 5.0, 0.0, 7.0]], np.float32))
-    c = compress_2_4(w)
+    c = compress_2_4(w, SparseMask(np.array([[0, 1, 0, 1]], np.uint8)))
     assert np.array_equal(c.values, np.array([5.0, 7.0], np.float32))
     assert np.array_equal(c.ingroup_indices(), np.array([[1, 3]], np.uint8))
     assert c.indices.tobytes() == bytes([0b1101])
@@ -194,7 +194,7 @@ def test_compress_roundtrip_random(rng):
 def test_compress_rejects_overfull_group():
     w = Tensor(np.array([[1.0, 2.0, 3.0, 0.0]], np.float32))
     with pytest.raises(CompressionError):
-        compress_2_4(w)
+        compress_2_4(w, SparseMask(np.array([[1, 1, 1, 0]], np.uint8)))
 
 
 def test_compress_rejects_value_outside_mask():
@@ -206,7 +206,7 @@ def test_compress_rejects_value_outside_mask():
 
 def test_compress_rejects_indivisible_cols():
     with pytest.raises(PatternError):
-        compress_2_4(Tensor(np.zeros((2, 6), np.float32)))
+        compress_2_4(Tensor(np.zeros((2, 6), np.float32)), SparseMask(np.ones((2, 6), np.uint8)))
 
 
 def test_spmm_identity_like_selects_inputs():
