@@ -174,6 +174,8 @@ def load_model(path) -> tuple[NoisePredictor, NoiseSchedule, dict]:
             raise ConfigError(f"{ckpt_path}: layer {name} entries have kinds {(kw, kb, km)}, expected (0, 0, 1)")
         if w.ndim != 2 or m.shape != w.shape or b.shape != w.shape[:1]:
             raise ArchitectureError(f"layer {name}: weight {w.shape}, bias {b.shape} and mask {m.shape} disagree")
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ConfigError(f"{ckpt_path}: layer {name} weight or bias holds NaN or inf")
         pat = NMPattern.parse(rec["pattern"]) if rec.get("pattern") else None
         mask = SparseMask(m)
         # a dense layer's mask must be all ones, which is what 1:1 asks of every entry

@@ -17,7 +17,6 @@ STREAMS = {
     "distill": 4,  # teacher sample bank and distillation batches
     "eval": 5,     # reference sets for quality metrics
     "bench": 6,    # benchmark matrices
-    "sweep": 7,    # per-entry derivations inside ratio sweeps
 }
 
 

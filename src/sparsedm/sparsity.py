@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import CompressionError, DimensionError, PatternError
 from .tensor import Tape, Tensor, linear_ste
@@ -193,11 +194,16 @@ class Compressed24:
         parts = np.stack([b & 3, (b >> 2) & 3, (b >> 4) & 3, (b >> 6) & 3], axis=1)
         return parts.reshape(-1)[:total].reshape(self.rows, self.cols // 2)
 
-    def kept_columns(self) -> np.ndarray:
-        """Absolute column index of every kept value, shape (rows, cols//2)."""
+    def to_csr(self) -> csr_matrix:
+        """Decode once into a float64 CSR holding exactly the rows*cols/2 kept values.
+
+        Each row stores its kept entries in column order, explicit zeros included.
+        """
+        k = self.cols // 2
         ig = self.ingroup_indices().reshape(self.rows, self.cols // 4, 2)
-        base = (np.arange(self.cols // 4, dtype=np.int64) * 4)[None, :, None]
-        return (ig.astype(np.int64) + base).reshape(self.rows, self.cols // 2)
+        cols = ig + (np.arange(self.cols // 4, dtype=np.int64) * 4)[None, :, None]
+        indptr = np.arange(0, self.rows * k + 1, k)
+        return csr_matrix((self.values.astype(np.float64), cols.reshape(-1), indptr), shape=(self.rows, self.cols))
 
 
 def _pack_crumbs(u: np.ndarray) -> np.ndarray:
@@ -235,36 +241,18 @@ def compress_2_4(w: Tensor, mask: SparseMask) -> Compressed24:
     return Compressed24(rows=rows, cols=cols, values=values, indices=indices)
 
 
-def decompress(c: Compressed24) -> Tensor:
-    out = np.zeros((c.rows, c.cols // 4, 4), dtype=np.float32)
-    keep = c.ingroup_indices().reshape(c.rows, c.cols // 4, 2).astype(np.int64)
-    vals = c.values.reshape(c.rows, c.cols // 4, 2)
-    np.put_along_axis(out, keep, vals, axis=2)
-    return Tensor(out.reshape(c.rows, c.cols))
-
-
 def spmm(c: Compressed24, x: Tensor) -> Tensor:
     """``x @ W.T`` using only the kept half of W; float64 accumulation.
 
     Touches rows*cols/2 weight entries per batch row, exactly half the dense
-    multiply count.  Batch rows are processed in bounded chunks; per-output
-    accumulation order does not depend on the chunking.
+    multiply count.
     """
     if x.data.ndim != 2:
         raise DimensionError(f"spmm needs a 2-d input, got {x.shape}")
     if x.shape[1] != c.cols:
         raise DimensionError(f"input width {x.shape[1]} mismatches compressed cols {c.cols}")
-    b = x.shape[0]
-    k = c.cols // 2
-    cols_idx = c.kept_columns()
-    vals = c.values.reshape(c.rows, k).astype(np.float64)
     x64 = x.data.astype(np.float64)
-    out = np.empty((b, c.rows), dtype=np.float64)
-    chunk = max(1, (1 << 22) // max(1, c.rows * k))
-    for s in range(0, b, chunk):
-        gathered = x64[s : s + chunk][:, cols_idx]  # (chunk, rows, k)
-        out[s : s + chunk] = np.einsum("brk,rk->br", gathered, vals)
-    return Tensor(out.astype(np.float32))
+    return Tensor((c.to_csr() @ x64.T).T)
 
 
 def spmm_macs(c: Compressed24, batch: int) -> int:

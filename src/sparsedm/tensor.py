@@ -52,11 +52,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        if self.data.shape != ():
-            raise DimensionError(f"item() on tensor of shape {self.shape}")
-        return float(self.data)
-
     def copy(self) -> "Tensor":
         return Tensor(self.data.copy())
 

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -192,7 +193,7 @@ def test_sample_compressed_needs_24_checkpoint(runs, tmp_path, capsys):
                "--n", "4", "--compressed"])
     assert rc == 5
     assert capsys.readouterr().err.startswith("error: ")
-    assert not (tmp_path / "x" / "config.json").exists()
+    assert not (tmp_path / "x").exists()
 
 
 def test_eval_report_schema_and_dense_reduction(runs, tmp_path):
@@ -501,23 +502,56 @@ def test_mask_disagreeing_with_pattern_exits_2(runs, tmp_path, capsys, argv, src
     assert not (tmp_path / "x" / "config.json").exists()
 
 
+def _blow_up(entries, meta):
+    for name, (kind, arr) in entries.items():
+        if name.endswith(".weight"):
+            entries[name] = (kind, np.full_like(arr, 1e30))
+
+
 @pytest.mark.parametrize("argv,written", [
     (["sample", "--n", "8"], "samples.csv"),
     (["eval", "--n", "8"], "report.json"),
     (["sweep", "--patterns", "2:4", "--steps", "2", "--teacher-bank", "16", "--n-eval", "16"], "sweep.csv"),
 ], ids=["sample", "eval", "sweep"])
 def test_non_finite_samples_exit_1(runs, tmp_path, capsys, argv, written):
-    def blow_up(entries, meta):
-        for name, (kind, arr) in entries.items():
-            if name.endswith(".weight"):
-                entries[name] = (kind, np.full_like(arr, 1e30))
-
-    bad = _damaged_copy(runs["dense"], tmp_path / "bad", blow_up)
+    bad = _damaged_copy(runs["dense"], tmp_path / "bad", _blow_up)
     capsys.readouterr()
     assert main(argv + ["--out", str(tmp_path / "x"), "--ckpt", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: sampling diverged") and "Traceback" not in err
     assert not (tmp_path / "x" / written).exists()
+    if argv[0] == "sample":
+        assert not (tmp_path / "x").exists()
+
+
+def test_divergence_raises_no_numpy_warning(runs, tmp_path, capsys):
+    bad = _damaged_copy(runs["dense"], tmp_path / "bad", _blow_up)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["sample", "--out", str(tmp_path / "s"), "--ckpt", str(bad), "--n", "8"]) == 1
+        assert main(["train-dense", "--out", str(tmp_path / "d"), "--lr", "1000", "--T", "8",
+                     "--hidden", "32"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and all(line.startswith("error: ") for line in lines)
+
+
+@pytest.mark.parametrize("cmd", [["prune"], ["sample", "--n", "4"]], ids=["prune", "sample"])
+@pytest.mark.parametrize("entry,value", [("fc2.weight", np.nan), ("fc1.bias", np.inf), ("fc3.weight", -np.inf)],
+                         ids=["nan-weight", "inf-bias", "neg-inf-weight"])
+def test_non_finite_weights_exit_2(runs, tmp_path, capsys, cmd, entry, value):
+    def poison(entries, meta):
+        kind, arr = entries[entry]
+        arr = arr.copy()
+        arr.flat[0] = value
+        entries[entry] = (kind, arr)
+
+    bad = _damaged_copy(runs["dense"], tmp_path / "bad", poison)
+    capsys.readouterr()
+    assert main(cmd + ["--out", str(tmp_path / "x"), "--ckpt", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "NaN or inf" in err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.fixture(scope="module")

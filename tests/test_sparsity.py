@@ -13,7 +13,6 @@ from sparsedm.sparsity import (
     SparseMask,
     apply_mask,
     compress_2_4,
-    decompress,
     is_transposable,
     make_transposable,
     masked_linear_forward,
@@ -187,8 +186,8 @@ def test_compress_roundtrip_random(rng):
         w = Tensor(rng.standard_normal((64, 64)).astype(np.float32))
         mask = project_mask(w, NMPattern(2, 4))
         wt = apply_mask(w, mask)
-        back = decompress(compress_2_4(wt, mask))
-        assert np.array_equal(back.data, wt.data)
+        back = compress_2_4(wt, mask).to_csr().toarray()
+        assert np.array_equal(back, wt.data)
 
 
 def test_compress_rejects_overfull_group():
@@ -221,11 +220,14 @@ def test_spmm_identity_like_selects_inputs():
     assert np.array_equal(out.data, x.data[:, [1, 3]])
 
 
-def test_spmm_matches_dense_masked_matmul(rng):
-    w = Tensor(rng.standard_normal((128, 128)).astype(np.float32))
+# the model's compressed layers at training, sampling and single-point batches
+@pytest.mark.parametrize("batch,n_in,n_out", [(16, 128, 128), (2000, 128, 128), (2000, 128, 2), (1, 128, 128)],
+                         ids=["16-128x128", "2000-128x128", "2000-128x2", "1-128x128"])
+def test_spmm_matches_dense_masked_matmul(rng, batch, n_in, n_out):
+    w = Tensor(rng.standard_normal((n_out, n_in)).astype(np.float32))
     mask = project_mask(w, NMPattern(2, 4))
     wt = apply_mask(w, mask)
-    x = rng.standard_normal((16, 128)).astype(np.float32)
+    x = rng.standard_normal((batch, n_in)).astype(np.float32)
     dense = (x.astype(np.float64) @ wt.data.astype(np.float64).T).astype(np.float32)
     got = spmm(compress_2_4(wt, mask), Tensor(x)).data
     scale = np.abs(dense).max()
