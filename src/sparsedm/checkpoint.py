@@ -17,7 +17,6 @@ seed, and the format version.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import struct
@@ -217,17 +216,3 @@ def _check_meta(meta, path) -> None:
     if not (isinstance(sched, dict) and type(sched.get("T")) is int
             and all(type(sched.get(k)) in (int, float) for k in ("beta_start", "beta_end"))):
         fail("'schedule' needs an integer 'T' and numeric 'beta_start' and 'beta_end'")
-
-
-def model_checksum(model: NoisePredictor) -> str:
-    """Stable digest over all weights, biases, and masks."""
-    h = hashlib.sha256()
-    for layer in model.layers:
-        h.update(layer.weight.data.tobytes())
-        h.update(layer.bias.data.tobytes())
-        h.update(layer.mask.bits.tobytes())
-    return h.hexdigest()
-
-
-def file_checksum(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()

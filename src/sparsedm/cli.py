@@ -1,8 +1,9 @@
-"""Command-line front end: train, prune, transfer, sample, eval, sweep, bench.
+"""Command-line front end: train, prune, transfer, sample, eval, sweep.
 
 Every command reads an optional JSON config file, overrides it with explicit
-flags, validates the merged result before any compute, and echoes the
-effective configuration into the output directory.  Exit codes: 2 for config
+flags, validates the merged result before any compute, and once its compute
+succeeds echoes the effective configuration into the output directory, so a
+refused or diverged run writes nothing.  Exit codes: 2 for config
 problems, 3 for pattern problems, 4 for architecture mismatches, 5 when the
 compressed path is requested for an incompatible checkpoint.
 """
@@ -27,17 +28,7 @@ from .errors import (
     PatternError,
     TrainingError,
 )
-from .evalbench import (
-    DEFAULT_BENCH_SIZES,
-    DEFAULT_SWEEP_PATTERNS,
-    bench_spmm,
-    energy_distance,
-    format_float,
-    macs_count,
-    sweep_ratios,
-    write_bench_csv,
-    write_sweep_csv,
-)
+from .evalbench import DEFAULT_SWEEP_PATTERNS, energy_distance, format_float, macs_count, sweep_ratios, write_sweep_csv
 from .rng import stream
 from .sparsity import NMPattern
 from .trainer import LR_SCHEDULES, TrainConfig, has_transposable_mask, prune_one_shot, transfer_train
@@ -81,8 +72,6 @@ OPTIONS = {
     "svg": Opt(bool, "also write a scatter plot"),
     "n_eval": Opt(int),
     "patterns": Opt(str, "comma list of N:M patterns"),
-    "sizes": Opt(str, "comma list of ROWSxCOLSxBATCH"),
-    "reps": Opt(int),
 }
 
 TRAIN = {"data": "gauss8", "steps": 2000, "batch_size": 128, "lr": 0.05, "lr_schedule": "cosine"}
@@ -113,10 +102,6 @@ FLAGS = {
     "sweep": (
         "prune + transfer-train one student per keep ratio", (("ckpt", "dense teacher checkpoint"),),
         {**TRANSFER, "n_eval": 2000, "patterns": ",".join(str(p) for p in DEFAULT_SWEEP_PATTERNS)},
-    ),
-    "bench": (
-        "compressed vs dense multiply micro-benchmark", (),
-        {"sizes": ",".join(f"{r}x{c}x{b}" for r, c, b in DEFAULT_BENCH_SIZES), "reps": 5},
     ),
 }
 
@@ -185,7 +170,8 @@ def _merge_config(cmd: str, args: argparse.Namespace) -> dict:
 def _echo_config(args, cfg: dict) -> Path:
     """Create ``--out`` and write the effective config into it.
 
-    This is every command's first write, so a run refused before it leaves no output directory.
+    Every command calls this once its compute has succeeded and before its first
+    write, so a refused or diverged run leaves no output directory.
     """
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -256,9 +242,9 @@ def cmd_train_dense(args) -> int:
     dataset = ToyDataset(cfg["data"])
     config = _train_config(cfg)
     hidden = _parse_hidden(cfg["hidden"])
-    out = _echo_config(args, cfg)
     model = NoisePredictor.create(stream(cfg["seed"], "init"), hidden=hidden)
     model, trace = transfer_train(model, None, dataset, sched, config)
+    out = _echo_config(args, cfg)
     ckpt.save_model(out, model, sched, cfg["seed"], extra={"label": "dense"})
     _write_trace(out / "trace.jsonl", trace)
     print(f"trained dense model for {config.steps} steps, final loss "
@@ -271,8 +257,8 @@ def cmd_prune(args) -> int:
     cfg = _merge_config("prune", args)
     pattern = NMPattern.parse(cfg["pattern"])
     model, sched, meta = ckpt.load_model(args.ckpt)
-    out = _echo_config(args, cfg)
     prune_one_shot(model, pattern, transposable=cfg["transposable"], strict=cfg["strict"])
+    out = _echo_config(args, cfg)
     for layer in model.layers:
         if layer.pattern is None:
             print(f"{layer.name}: dense (input width {layer.in_features} "
@@ -308,8 +294,8 @@ def cmd_train_sparse(args) -> int:
         raise ConfigError(f"student schedule T={sched.T} differs from teacher T={t_sched.T}")
     dataset = ToyDataset(cfg["data"])
     config = _train_config(cfg, schedule=_schedule(cfg, student))
-    out = _echo_config(args, cfg)
     student, trace = transfer_train(student, teacher, dataset, sched, config)
+    out = _echo_config(args, cfg)
     label = "ste-baseline" if config.lambda1 == 0.0 else "transfer"
     ckpt.save_model(out, student, sched, cfg["seed"], extra={"label": label})
     _write_trace(out / "trace.jsonl", trace)
@@ -343,7 +329,6 @@ def cmd_eval(args) -> int:
     n = cfg["n"]
     if n < 2:
         raise ConfigError(f"eval needs n >= 2, got {n}")
-    out = _echo_config(args, cfg)
     samples = ddpm_sample(model, n, sched, stream(cfg["seed"], "sample"))
     ref = toy_batch(dataset, n, stream(cfg["seed"], "eval"))
     macs = macs_count(model, (1,))
@@ -356,6 +341,7 @@ def cmd_eval(args) -> int:
         "seed": cfg["seed"],
         "metric": METRIC_NAME,
     }
+    out = _echo_config(args, cfg)
     (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     print(f"energy distance {format_float(report['energy_distance'])}, "
           f"MACs reduction {report['reduction']:.4f}")
@@ -369,43 +355,13 @@ def cmd_sweep(args) -> int:
     dataset = ToyDataset(cfg["data"])
     patterns = [NMPattern.parse(p) for p in cfg["patterns"].split(",") if p]
     config = _train_config(cfg)
-    out = _echo_config(args, cfg)
     rows = sweep_ratios(teacher, patterns, dataset, sched, config, n_eval=cfg["n_eval"])
+    out = _echo_config(args, cfg)
     write_sweep_csv(rows, out / "sweep.csv")
     for r in rows:
         print(f"{r['pattern']:>6}  sparsity {r['sparsity']:.5f}  "
               f"macs {r['macs_sparse']:>8}  energy {format_float(r['energy_distance'])}")
     print(f"wrote {out / 'sweep.csv'}")
-    return 0
-
-
-def _parse_sizes(text: str):
-    sizes = []
-    for part in text.split(","):
-        if not part:
-            continue
-        bits = part.lower().split("x")
-        if len(bits) != 3:
-            raise ConfigError(f"bad bench size {part!r}, expected ROWSxCOLSxBATCH")
-        try:
-            sizes.append(tuple(int(b) for b in bits))
-        except ValueError:
-            raise ConfigError(f"bad bench size {part!r}") from None
-    if not sizes:
-        raise ConfigError("bench needs at least one size")
-    return sizes
-
-
-def cmd_bench(args) -> int:
-    cfg = _merge_config("bench", args)
-    sizes = _parse_sizes(cfg["sizes"])
-    out = _echo_config(args, cfg)
-    records = bench_spmm(sizes, reps=cfg["reps"], seed=cfg["seed"])
-    write_bench_csv(records, out / "bench.csv")
-    for r in records:
-        print(f"{r.rows}x{r.cols} batch {r.batch}: dense {r.t_dense_ns} ns, "
-              f"spmm {r.t_spmm_ns} ns, macs ratio {r.macs_ratio}, max rel err {r.max_rel_err:.2e}")
-    print(f"wrote {out / 'bench.csv'}")
     return 0
 
 
@@ -428,7 +384,6 @@ COMMANDS = {
     "sample": cmd_sample,
     "eval": cmd_eval,
     "sweep": cmd_sweep,
-    "bench": cmd_bench,
 }
 
 

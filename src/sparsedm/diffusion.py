@@ -63,16 +63,12 @@ def q_sample(x0: Tensor, t, eps: Tensor, sched: NoiseSchedule) -> Tensor:
     return Tensor(out)
 
 
-def posterior_mean(x_t: Tensor, eps_hat: Tensor, t, sched: NoiseSchedule) -> Tensor:
-    """Reverse-step mean ``(x_t - beta_t/sqrt(1-abar_t) eps_hat) / sqrt(alpha_t)``."""
+def posterior_mean(x_t: Tensor, eps_hat: Tensor, t: int, sched: NoiseSchedule) -> Tensor:
+    """Reverse-step mean ``(x_t - beta_t/sqrt(1-abar_t) eps_hat) / sqrt(alpha_t)`` at one timestep t."""
     if x_t.shape != eps_hat.shape:
         raise DimensionError(f"x_t {x_t.shape} and eps_hat {eps_hat.shape} differ")
     t = _check_t(t, sched.T)
-    beta = sched.beta[t]
-    alpha = sched.alpha[t]
-    ab = sched.alpha_bar[t]
-    if np.ndim(beta):
-        beta, alpha, ab = beta[:, None], alpha[:, None], ab[:, None]
+    beta, alpha, ab = sched.beta[t], sched.alpha[t], sched.alpha_bar[t]
     out = (x_t.data.astype(np.float64) - beta / np.sqrt(1.0 - ab) * eps_hat.data.astype(np.float64)) / np.sqrt(alpha)
     return Tensor(out)
 

@@ -1,4 +1,4 @@
-"""MACs accounting, sample-quality metrics, ratio sweeps, and the spmm benchmark.
+"""MACs accounting, sample-quality metrics and ratio sweeps.
 
 MACs are exact integer arithmetic: a masked layer costs ``dense * n / m``.
 Sample quality uses the energy distance between point sets, computed from
@@ -6,16 +6,15 @@ exact pairwise sums, as a cheap stand-in for feature-space metrics.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from .diffusion import NoisePredictor, NoiseSchedule, ToyDataset, ddpm_sample, toy_batch
-from .errors import ConfigError, PatternError
+from .errors import ConfigError
 from .rng import derive_seed, stream
-from .sparsity import NMPattern, Tensor, apply_mask, compress_2_4, project_mask, spmm, spmm_macs
+from .sparsity import NMPattern, Tensor
 from .trainer import TrainConfig, transfer_train
 
 # the ten keep ratios of the standard sweep, densest first
@@ -25,7 +24,6 @@ DEFAULT_SWEEP_PATTERNS = tuple(
 )
 
 SWEEP_HEADER = "pattern,sparsity,macs_sparse,macs_dense,energy_distance"
-BENCH_HEADER = "rows,cols,batch,reps,t_dense_ns,t_spmm_ns,macs_ratio,max_rel_err"
 
 
 @dataclass(frozen=True)
@@ -140,86 +138,6 @@ def sweep_ratios(
 
 
 # ---------------------------------------------------------------------------
-# spmm benchmark
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BenchRecord:
-    rows: int
-    cols: int
-    batch: int
-    reps: int
-    t_dense_ns: int
-    t_spmm_ns: int
-    macs_ratio: float
-    max_rel_err: float
-
-
-DEFAULT_BENCH_SIZES = ((64, 64, 8), (128, 128, 16), (256, 256, 16), (512, 512, 16))
-
-
-def bench_spmm(sizes=DEFAULT_BENCH_SIZES, reps: int = 5, seed: int = 0) -> list[BenchRecord]:
-    """Median wall-clock of dense vs compressed multiply on random 2:4 matrices.
-
-    Timings are sanity numbers, not assertions; the exact claims are the MAC
-    ratio (always one half) and the agreement between the two paths.
-    """
-    if reps < 1:
-        raise ConfigError(f"reps must be >= 1, got {reps}")
-    sizes = list(sizes)
-    if not sizes:
-        raise ConfigError("bench needs at least one size")
-    records = []
-    for i, (rows, cols, batch) in enumerate(sizes):
-        if rows < 1 or cols < 1 or batch < 1:
-            raise ConfigError(f"bad bench size {(rows, cols, batch)}")
-        if cols % 4:
-            raise PatternError(f"bench cols {cols} not divisible by 4")
-        rng = stream(seed, "bench", (i,))
-        w = Tensor(rng.standard_normal((rows, cols)))
-        mask = project_mask(w, NMPattern(2, 4))
-        w_sparse = apply_mask(w, mask)
-        comp = compress_2_4(w_sparse, mask)
-        x = Tensor(rng.standard_normal((batch, cols)))
-        w64 = w_sparse.data.astype(np.float64)
-
-        def dense_run():
-            return (x.data.astype(np.float64) @ w64.T).astype(np.float32)
-
-        def spmm_run():
-            return spmm(comp, x).data
-
-        y_dense = dense_run()
-        y_spmm = spmm_run()  # warm both paths before timing
-        scale = float(np.abs(y_dense).max()) or 1.0
-        max_rel = float(np.abs(y_spmm - y_dense).max() / scale)
-
-        t_dense = []
-        t_spmm = []
-        for _ in range(reps):
-            t0 = time.perf_counter_ns()
-            dense_run()
-            t_dense.append(time.perf_counter_ns() - t0)
-            t0 = time.perf_counter_ns()
-            spmm_run()
-            t_spmm.append(time.perf_counter_ns() - t0)
-        dense_macs = batch * rows * cols
-        records.append(
-            BenchRecord(
-                rows=rows,
-                cols=cols,
-                batch=batch,
-                reps=reps,
-                t_dense_ns=int(np.median(t_dense)),
-                t_spmm_ns=int(np.median(t_spmm)),
-                macs_ratio=spmm_macs(comp, batch) / dense_macs,
-                max_rel_err=max_rel,
-            )
-        )
-    return records
-
-
-# ---------------------------------------------------------------------------
 # report emission
 # ---------------------------------------------------------------------------
 
@@ -236,30 +154,3 @@ def write_sweep_csv(rows, path) -> None:
         )
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def write_bench_csv(records, path) -> None:
-    lines = [BENCH_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.rows},{r.cols},{r.batch},{r.reps},{r.t_dense_ns},{r.t_spmm_ns},"
-            f"{format_float(r.macs_ratio)},{format_float(r.max_rel_err)}"
-        )
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["energy_distance", "macs_dense", "macs_sparse", "reduction", "n", "seed", "metric"],
-    "properties": {
-        "energy_distance": {"type": "number"},
-        "macs_dense": {"type": "integer", "minimum": 0},
-        "macs_sparse": {"type": "integer", "minimum": 0},
-        "reduction": {"type": "number", "minimum": 0.0, "maximum": 1.0},
-        "n": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
-        "metric": {"type": "string"},
-    },
-    "additionalProperties": False,
-}

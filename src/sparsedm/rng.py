@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 STREAMS = {
     "init": 0,     # parameter initialization
     "data": 1,     # training batches
@@ -16,17 +18,18 @@ STREAMS = {
     "sample": 3,   # ancestral sampling
     "distill": 4,  # teacher sample bank and distillation batches
     "eval": 5,     # reference sets for quality metrics
-    "bench": 6,    # benchmark matrices
 }
 
 
-def stream(seed: int, name: str, key: tuple[int, ...] = ()) -> np.random.Generator:
+def stream(seed: int, name: str) -> np.random.Generator:
     """Return the PCG64 generator for one named component of a seeded run."""
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     try:
         base = STREAMS[name]
     except KeyError:
         raise KeyError(f"unknown rng stream {name!r}") from None
-    ss = np.random.SeedSequence(seed, spawn_key=(base, *key))
+    ss = np.random.SeedSequence(seed, spawn_key=(base,))
     return np.random.Generator(np.random.PCG64(ss))
 
 

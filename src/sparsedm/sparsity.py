@@ -106,12 +106,6 @@ def project_mask(w: Tensor, pattern: NMPattern) -> SparseMask:
     return SparseMask(bits.reshape(rows, cols))
 
 
-def apply_mask(w: Tensor, mask: SparseMask) -> Tensor:
-    if w.shape != mask.shape:
-        raise DimensionError(f"weight {w.shape} and mask {mask.shape} differ")
-    return Tensor(w.data * mask.bits)
-
-
 @dataclass
 class MaskedLinear:
     """Linear layer whose forward multiplies by W*mask; backward is straight-through."""

@@ -165,13 +165,6 @@ def scale(x: Tensor, c: float, tape: Tape | None = None) -> Tensor:
     return tape._emit("scale", (x,), (float(c),), out)
 
 
-def sum_all(x: Tensor, tape: Tape | None = None) -> Tensor:
-    out = np.asarray(np.float32(_f64(x.data).sum()))
-    if tape is None:
-        return Tensor(out)
-    return tape._emit("sum", (x,), None, out)
-
-
 def backward(tape: Tape, loss: Tensor) -> dict[ParamId, Tensor]:
     """Reverse sweep from a scalar loss; returns one float32 gradient per parameter.
 
@@ -219,9 +212,6 @@ def backward(tape: Tape, loss: Tensor) -> dict[ParamId, Tensor]:
         elif op == "scale":
             (c,) = aux
             acc(ids[0], c * g)
-        elif op == "sum":
-            if ids[0] >= 0:
-                acc(ids[0], np.full(tape.nodes[ids[0]][3], float(g), dtype=np.float64))
         else:  # pragma: no cover
             raise AssertionError(f"unknown op {op!r}")
 

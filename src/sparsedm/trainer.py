@@ -55,8 +55,8 @@ class TrainConfig:
             raise ConfigError(f"lr must be positive and finite, got {self.lr!r}")
         if self.lr_schedule not in LR_SCHEDULES:
             raise ConfigError(f"lr_schedule must be one of {LR_SCHEDULES}, got {self.lr_schedule!r}")
-        if self.lambda_w < 0.0:
-            raise ConfigError(f"lambda_w must be >= 0, got {self.lambda_w!r}")
+        if not (self.lambda_w >= 0.0) or not math.isfinite(self.lambda_w):
+            raise ConfigError(f"lambda_w must be >= 0 and finite, got {self.lambda_w!r}")
         for name, lam in (("lambda1", self.lambda1), ("lambda2", self.lambda2)):
             if not (0.0 <= lam <= 1.0):
                 raise ConfigError(f"{name} must lie in [0, 1], got {lam!r}")

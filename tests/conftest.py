@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -33,3 +36,34 @@ def assert_close_rel(actual, expected, rel=1e-3, abs_tol=1e-5):
     denom = np.maximum(np.abs(expected), abs_tol / rel)
     err = np.abs(actual - expected) / denom
     assert err.max() <= rel, f"max rel err {err.max():.3e} at {np.unravel_index(err.argmax(), err.shape)}"
+
+
+def model_checksum(model) -> str:
+    """Stable digest over all weights, biases, and masks."""
+    h = hashlib.sha256()
+    for layer in model.layers:
+        h.update(layer.weight.data.tobytes())
+        h.update(layer.bias.data.tobytes())
+        h.update(layer.mask.bits.tobytes())
+    return h.hexdigest()
+
+
+def file_checksum(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+# the shape of the report.json that ``sparsedm eval`` writes
+REPORT_SCHEMA = {
+    "type": "object",
+    "required": ["energy_distance", "macs_dense", "macs_sparse", "reduction", "n", "seed", "metric"],
+    "properties": {
+        "energy_distance": {"type": "number"},
+        "macs_dense": {"type": "integer", "minimum": 0},
+        "macs_sparse": {"type": "integer", "minimum": 0},
+        "reduction": {"type": "number", "minimum": 0.0, "maximum": 1.0},
+        "n": {"type": "integer", "minimum": 1},
+        "seed": {"type": "integer"},
+        "metric": {"type": "string"},
+    },
+    "additionalProperties": False,
+}

@@ -9,8 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import assert_close_rel, fd_grad
-from sparsedm.checkpoint import CKPT_NAME, META_NAME, file_checksum, load_model, save_model
+from conftest import assert_close_rel, fd_grad, file_checksum
+from sparsedm.checkpoint import CKPT_NAME, META_NAME, load_model, save_model
 from sparsedm.cli import main
 from sparsedm.diffusion import (
     NoisePredictor,

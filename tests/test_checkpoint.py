@@ -10,9 +10,7 @@ from sparsedm.checkpoint import (
     KIND_FLOAT,
     KIND_MASK,
     META_NAME,
-    file_checksum,
     load_model,
-    model_checksum,
     read_entries,
     save_model,
     write_entries,
@@ -21,6 +19,8 @@ from sparsedm.diffusion import NoisePredictor, make_schedule
 from sparsedm.errors import ArchitectureError, ConfigError
 from sparsedm.sparsity import NMPattern
 from sparsedm.trainer import prune_one_shot
+
+from conftest import file_checksum, model_checksum
 
 
 def _pruned_model(seed=0):

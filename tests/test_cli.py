@@ -2,6 +2,7 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -9,24 +10,24 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsedm.checkpoint import (
     CKPT_NAME,
     KIND_MASK,
     META_NAME,
-    file_checksum,
     load_model,
-    model_checksum,
     read_entries,
     write_entries,
 )
-from sparsedm.cli import METRIC_NAME, main
+from sparsedm.cli import COMMANDS, FLAGS, METRIC_NAME, OPTIONS, _defaults, main
 from sparsedm.diffusion import NoisePredictor
-from sparsedm.evalbench import BENCH_HEADER, REPORT_SCHEMA, SWEEP_HEADER
+from sparsedm.evalbench import SWEEP_HEADER
 from sparsedm.rng import stream
 from sparsedm.sparsity import NMPattern, is_transposable
+
+from conftest import REPORT_SCHEMA, file_checksum, model_checksum
 
 
 def _read_csv_points(path):
@@ -234,17 +235,6 @@ def test_sweep_csv(runs, tmp_path):
     assert lines[2].startswith("1:4,0.75,")
 
 
-def test_bench_csv(tmp_path):
-    out = tmp_path / "b"
-    assert main(["bench", "--out", str(out), "--sizes", "32x32x4", "--reps", "1"]) == 0
-    lines = (out / "bench.csv").read_text().splitlines()
-    assert lines[0] == BENCH_HEADER
-    assert len(lines) == 2
-    fields = lines[1].split(",")
-    assert fields[:4] == ["32", "32", "4", "1"]
-    assert fields[6] == "0.5"
-
-
 def test_rerun_is_byte_identical(runs, tmp_path):
     outputs = (CKPT_NAME, META_NAME, "trace.jsonl", "config.json")
     again = tmp_path / "again"
@@ -319,11 +309,13 @@ def test_architecture_mismatch_exit_code(runs, tmp_path):
     assert rc == 4
 
 
-@pytest.mark.parametrize("pattern", ["5:4", "0:4", "abc", "1:4:2"])
+# 1:5 parses, but group size 5 divides none of the input widths 66, 64 and 32
+@pytest.mark.parametrize("pattern", ["5:4", "0:4", "abc", "1:4:2", "1:5"])
 def test_bad_pattern_exit_code(runs, tmp_path, pattern):
     rc = main(["prune", "--out", str(tmp_path / "x"), "--ckpt", str(runs["dense"]),
                "--pattern", pattern])
     assert rc == 3
+    assert not (tmp_path / "x").exists()
 
 
 def test_missing_checkpoint_exit_code(tmp_path):
@@ -349,7 +341,7 @@ def test_train_sparse_pattern_fitting_no_layer_exits_3(runs, tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
-    assert not (tmp_path / "x" / CKPT_NAME).exists()
+    assert not (tmp_path / "x").exists()
 
 
 def test_sample_rejects_bad_count(runs, tmp_path):
@@ -381,6 +373,24 @@ def test_mistyped_config_value_exits_2(runs, tmp_path, capsys, cmd, values):
     assert err.startswith("error: ") and key in err
     assert "Traceback" not in err
     assert not (tmp_path / "x" / "config.json").exists()
+
+
+@pytest.mark.parametrize("cmd", ["train-dense", "sample"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_negative_seed_exits_2(runs, tmp_path, capsys, cmd, via):
+    argv = [cmd, "--out", str(tmp_path / "x")]
+    argv += ["--steps", "2", "--T", "4", "--hidden", "32"] if cmd == "train-dense" else ["--ckpt", str(runs["sparse"])]
+    if via == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        argv += ["--config", str(cfg)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be a non-negative integer") and len(err.splitlines()) == 1
+    assert not (tmp_path / "x").exists()
 
 
 def test_config_int_accepted_for_float(tmp_path):
@@ -508,20 +518,19 @@ def _blow_up(entries, meta):
             entries[name] = (kind, np.full_like(arr, 1e30))
 
 
-@pytest.mark.parametrize("argv,written", [
-    (["sample", "--n", "8"], "samples.csv"),
-    (["eval", "--n", "8"], "report.json"),
-    (["sweep", "--patterns", "2:4", "--steps", "2", "--teacher-bank", "16", "--n-eval", "16"], "sweep.csv"),
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "8"],
+    ["eval", "--n", "8"],
+    ["sweep", "--patterns", "2:4", "--steps", "2", "--teacher-bank", "16", "--n-eval", "16"],
 ], ids=["sample", "eval", "sweep"])
-def test_non_finite_samples_exit_1(runs, tmp_path, capsys, argv, written):
+def test_non_finite_samples_exit_1(runs, tmp_path, capsys, argv):
     bad = _damaged_copy(runs["dense"], tmp_path / "bad", _blow_up)
     capsys.readouterr()
     assert main(argv + ["--out", str(tmp_path / "x"), "--ckpt", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: sampling diverged") and "Traceback" not in err
-    assert not (tmp_path / "x" / written).exists()
-    if argv[0] == "sample":
-        assert not (tmp_path / "x").exists()
+    # neither samples.csv, report.json nor sweep.csv, nor even config.json
+    assert not (tmp_path / "x").exists()
 
 
 def test_divergence_raises_no_numpy_warning(runs, tmp_path, capsys):
@@ -534,6 +543,8 @@ def test_divergence_raises_no_numpy_warning(runs, tmp_path, capsys):
                      "--hidden", "32"]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 2 and all(line.startswith("error: ") for line in lines)
+    # a diverged run writes no output directory, not even config.json
+    assert not (tmp_path / "s").exists() and not (tmp_path / "d").exists()
 
 
 @pytest.mark.parametrize("cmd", [["prune"], ["sample", "--n", "4"]], ids=["prune", "sample"])
@@ -607,3 +618,66 @@ def test_damaged_checkpoint_exits_with_documented_code(tiny, data):
             for layer in load_model(ckpt)[0].layers:
                 assert layer.mask.satisfies(layer.pattern or NMPattern(1, 1))
             assert np.isfinite(_read_csv_points(Path(tmp) / "s" / "samples.csv")).all()
+
+
+def test_no_dead_options():
+    assert set(COMMANDS) == set(FLAGS)
+    used = set().union(*(_defaults(cmd) for cmd in FLAGS))
+    assert set(OPTIONS) == used
+
+
+# a tiny run of every command; the fuzz test replaces one of its keys
+FUZZ_BASE = {"hidden": "32", "T": 4, "steps": 2, "n": 8, "teacher_bank": 16, "n_eval": 16, "patterns": "2:4"}
+# malformed and near-valid text per string option; never free text, since a width
+# like "999968" would allocate terabytes
+FUZZ_TEXT = {
+    "hidden": ["", "0", "33", "2:4:", ",", "32,", "-32", "32,33"],
+    "pattern": ["", "0", "33", "2:4:", ",", "1:5", "4:4", " 2:4"],
+    "progressive": ["", "0", "33", "2:4:", ",", "4:4,2:4", "2:4,,1:4"],
+    "patterns": ["", "0", "33", "2:4:", ",", "1:5", "2:4,1:4"],
+    "data": ["", "0", "33", "Gauss8", "gauss8 "],
+    "lr_schedule": ["", "0", "33", "linear", "Cosine"],
+}
+FUZZ_EDGE = {
+    int: st.integers(-3, 64),
+    float: st.floats(-3, 64) | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+    bool: st.booleans(),
+}
+FUZZ_WRONG = st.sampled_from(["0", "2:4", True, False, 1.5, -2.0, [], [4], None])
+
+
+@st.composite
+def fuzz_cases(draw):
+    """A command, one of its option keys, and a wrong-typed or edge value for it."""
+    cmd = draw(st.sampled_from(sorted(FLAGS)))
+    key = draw(st.sampled_from(sorted(_defaults(cmd))))
+    kind = OPTIONS[key].type
+    edge = st.sampled_from(FUZZ_TEXT[key]) if kind is str else FUZZ_EDGE[kind]
+    return cmd, key, draw(edge | FUZZ_WRONG)
+
+
+@settings(max_examples=400)
+@example(case=("train-dense", "seed", -1))
+@given(case=fuzz_cases())
+def test_config_fuzz_exits_with_documented_code(runs, case):
+    """One config value replaced by a wrong-typed or edge value: a documented exit code, one error line."""
+    cmd, key, value = case
+    defaults = _defaults(cmd)
+    cfg = {k: v for k, v in FUZZ_BASE.items() if k in defaults}
+    cfg[key] = value
+    paths = {"prune": ["--ckpt", runs["dense"]], "sweep": ["--ckpt", runs["dense"]],
+             "sample": ["--ckpt", runs["sparse"]], "eval": ["--ckpt", runs["sparse"]],
+             "train-sparse": ["--student", runs["pruned"], "--teacher", runs["dense"]]}.get(cmd, [])
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out_dir = Path(tmp) / "cfg.json", Path(tmp) / "out"
+        config.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main([cmd, "--out", str(out_dir), "--config", str(config)] + [str(p) for p in paths])
+        assert rc in {0, 1, 2, 3, 4, 5}
+        if rc:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ") and "Traceback" not in err.getvalue()
+            assert not out_dir.exists()
+        else:
+            assert err.getvalue() == "" and (out_dir / "config.json").exists()

@@ -4,17 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsedm.diffusion import NoisePredictor, ToyDataset, make_schedule
-from sparsedm.errors import ConfigError, PatternError
 from sparsedm.evalbench import (
-    BENCH_HEADER,
-    DEFAULT_BENCH_SIZES,
     DEFAULT_SWEEP_PATTERNS,
     SWEEP_HEADER,
-    bench_spmm,
     energy_distance,
     macs_count,
     sweep_ratios,
-    write_bench_csv,
     write_sweep_csv,
 )
 from sparsedm.rng import stream
@@ -140,28 +135,8 @@ def test_sweep_deterministic_and_order_independent():
     assert a == b
 
 
-def test_bench_records_and_accuracy():
-    records = bench_spmm([(64, 64, 8), (32, 128, 4)], reps=3, seed=0)
-    assert len(records) == 2
-    for r in records:
-        assert r.macs_ratio == 0.5
-        assert r.max_rel_err <= 1e-5
-        assert r.t_dense_ns > 0 and r.t_spmm_ns > 0
-        assert r.reps == 3
-
-
-def test_bench_rejects_bad_sizes():
-    with pytest.raises(PatternError):
-        bench_spmm([(64, 66, 8)], reps=1)
-    with pytest.raises(ConfigError):
-        bench_spmm([], reps=1)
-    with pytest.raises(ConfigError):
-        bench_spmm([(64, 64, 8)], reps=0)
-
-
 def test_csv_headers_byte_exact(tmp_path):
     assert SWEEP_HEADER == "pattern,sparsity,macs_sparse,macs_dense,energy_distance"
-    assert BENCH_HEADER == "rows,cols,batch,reps,t_dense_ns,t_spmm_ns,macs_ratio,max_rel_err"
     rows = [{"pattern": "2:4", "sparsity": 0.5, "macs_sparse": 100, "macs_dense": 200,
              "energy_distance": 0.125}]
     p = tmp_path / "sweep.csv"
@@ -170,11 +145,6 @@ def test_csv_headers_byte_exact(tmp_path):
     assert text.splitlines()[0] == SWEEP_HEADER
     assert text.splitlines()[1] == "2:4,0.5,100,200,0.125"
     assert text.endswith("\n")
-
-    records = bench_spmm([DEFAULT_BENCH_SIZES[0]], reps=1, seed=0)
-    b = tmp_path / "bench.csv"
-    write_bench_csv(records, b)
-    assert b.read_bytes().decode().splitlines()[0] == BENCH_HEADER
 
 
 def test_extreme_sparsity_not_better_than_24():

@@ -11,7 +11,6 @@ from sparsedm.sparsity import (
     MaskedLinear,
     NMPattern,
     SparseMask,
-    apply_mask,
     compress_2_4,
     is_transposable,
     make_transposable,
@@ -20,7 +19,7 @@ from sparsedm.sparsity import (
     spmm,
     spmm_macs,
 )
-from sparsedm.tensor import Tape, Tensor, backward, mse_loss, sum_all
+from sparsedm.tensor import Tape, Tensor, backward, mse_loss
 
 from conftest import assert_close_rel, fd_grad
 
@@ -66,18 +65,10 @@ def test_project_rejects_indivisible_width():
         project_mask(Tensor(np.ones((2, 6), np.float32)), NMPattern(2, 4))
 
 
-def test_apply_mask_trivial():
-    w = Tensor(np.arange(8, dtype=np.float32).reshape(2, 4))
-    ones = SparseMask.ones((2, 4))
-    assert np.array_equal(apply_mask(w, ones).data, w.data)
-    zeros = SparseMask(np.zeros((2, 4), np.uint8))
-    assert np.array_equal(apply_mask(w, zeros).data, np.zeros((2, 4), np.float32))
-
-
 def test_masked_weight_zero_count(rng):
     w = Tensor(rng.standard_normal((4, 8)).astype(np.float32))
     m = project_mask(w, NMPattern(2, 4))
-    wt = apply_mask(w, m)
+    wt = Tensor(w.data * m.bits)
     assert (wt.data == 0).sum() >= (m.bits == 0).sum()
 
 
@@ -124,10 +115,11 @@ def test_masked_linear_all_ones_equals_plain(rng):
     ref = (x0.astype(np.float64) @ layer.weight.data.astype(np.float64).T
            + layer.bias.data.astype(np.float64)).astype(np.float32)
     assert np.array_equal(out.data, ref)
-    grads = backward(tape, sum_all(out, tape))
-    # plain-linear gradients: dW = 1^T-weighted input sums, db = batch count
-    assert np.allclose(grads["l.weight"].data, np.tile(x0.sum(0), (3, 1)), atol=1e-4)
-    assert np.array_equal(grads["l.bias"].data, np.full(3, 5, np.float32))
+    grads = backward(tape, mse_loss(out, Tensor(np.zeros((5, 3), np.float32)), tape))
+    # plain-linear gradients of mean(out**2): with dy = (2/N) out, dW = dy^T x and db = batch sums of dy
+    dy = (2 / out.size) * out.data.astype(np.float64)
+    assert np.allclose(grads["l.weight"].data, dy.T @ x0.astype(np.float64), atol=1e-4)
+    assert np.array_equal(grads["l.bias"].data, dy.sum(axis=0).astype(np.float32))
 
 
 def test_masked_linear_zeroed_output_row_is_bias(rng):
@@ -185,7 +177,7 @@ def test_compress_roundtrip_random(rng):
     for _ in range(5):
         w = Tensor(rng.standard_normal((64, 64)).astype(np.float32))
         mask = project_mask(w, NMPattern(2, 4))
-        wt = apply_mask(w, mask)
+        wt = Tensor(w.data * mask.bits)
         back = compress_2_4(wt, mask).to_csr().toarray()
         assert np.array_equal(back, wt.data)
 
@@ -226,7 +218,7 @@ def test_spmm_identity_like_selects_inputs():
 def test_spmm_matches_dense_masked_matmul(rng, batch, n_in, n_out):
     w = Tensor(rng.standard_normal((n_out, n_in)).astype(np.float32))
     mask = project_mask(w, NMPattern(2, 4))
-    wt = apply_mask(w, mask)
+    wt = Tensor(w.data * mask.bits)
     x = rng.standard_normal((batch, n_in)).astype(np.float32)
     dense = (x.astype(np.float64) @ wt.data.astype(np.float64).T).astype(np.float32)
     got = spmm(compress_2_4(wt, mask), Tensor(x)).data

@@ -15,7 +15,6 @@ from sparsedm.tensor import (
     mse_loss,
     scale,
     silu,
-    sum_all,
 )
 
 from conftest import assert_close_rel, fd_grad
@@ -24,6 +23,15 @@ from conftest import assert_close_rel, fd_grad
 def _linear(x, w, b, tape=None):
     # plain affine map: the effective weight is the weight itself
     return linear_ste(x, w, b, w.data, tape)
+
+
+def _mean_square(x, tape):
+    # mean(x**2): mse against a zero target, whose gradient wrt x is (2/N) x in float64
+    return mse_loss(x, Tensor(np.zeros(x.shape, np.float32)), tape)
+
+
+def _dmean_square(x):
+    return (2 / x.size) * x.data.astype(np.float64)
 
 
 def test_matmul_against_triple_loop(rng):
@@ -59,15 +67,15 @@ def test_linear_shape_mismatch():
         linear_ste(Tensor(np.zeros((2, 3))), w, Tensor(np.zeros(2)), np.zeros((3, 2), np.float32))
 
 
-def test_bias_grad_is_batch_count(rng):
-    # loss = sum(x W^T + b) over a 4-row batch: d loss / d b = [4, 4, 4]
+def test_bias_grad_sums_over_batch(rng):
+    # loss = mean(y**2), y = x W^T + b over a 4-row batch: d loss / d b = sum over rows of (2/N) y
     tape = Tape()
     x = Tensor(rng.standard_normal((4, 5)).astype(np.float32))
     w = Tensor(rng.standard_normal((3, 5)).astype(np.float32))
     b = tape.param("b", Tensor(np.zeros(3, np.float32)))
-    loss = sum_all(_linear(x, w, b, tape), tape)
-    grads = backward(tape, loss)
-    assert np.array_equal(grads["b"].data, np.array([4.0, 4.0, 4.0], np.float32))
+    y = _linear(x, w, b, tape)
+    grads = backward(tape, _mean_square(y, tape))
+    assert np.array_equal(grads["b"].data, _dmean_square(y).sum(axis=0).astype(np.float32))
 
 
 def test_silu_zero():
@@ -82,11 +90,17 @@ def test_silu_large_magnitude():
         tape = Tape()
         xt = tape.param("x", Tensor(x))
         out = silu(xt, tape)
-        grad = backward(tape, sum_all(out, tape))["x"].data
+    # the loss value, about big**2 / 6, overflows float32; it is not what is under test
+    with np.errstate(over="ignore"):
+        loss = _mean_square(out, tape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grad = backward(tape, loss)["x"].data
     pos = x > 0
     assert np.isfinite(out.data).all() and np.isfinite(grad).all()
     assert np.array_equal(out.data[pos], x[pos])
-    assert np.array_equal(grad[pos], np.ones(3, np.float32))
+    # silu'(x) is exactly 1 there, so the gradient is the loss's own (2/N) x
+    assert np.array_equal(grad[pos], ((2 / x.size) * x[pos].astype(np.float64)).astype(np.float32))
     # silu(-100) is about -4e-42, a float32 subnormal; the rest are exact zeros
     tiny = np.finfo(np.float32).tiny
     assert (np.abs(out.data[~pos]) < tiny).all() and (np.abs(grad[~pos]) < tiny).all()
@@ -95,11 +109,11 @@ def test_silu_large_magnitude():
 def test_silu_derivative_fd():
     tape = Tape()
     x = tape.param("x", Tensor(np.array([1.0], np.float32)))
-    loss = sum_all(silu(x, tape), tape)
+    loss = _mean_square(silu(x, tape), tape)
     g = backward(tape, loss)["x"].data[0]
 
     def f(v):
-        return float(v[0] / (1 + np.exp(-v[0])))
+        return float(v[0] / (1 + np.exp(-v[0]))) ** 2
 
     ref = fd_grad(f, np.array([1.0]), eps=1e-4)[0]
     assert abs(g - ref) <= 1e-4
@@ -135,20 +149,20 @@ def test_untouched_param_gets_zero_grad(rng):
     tape = Tape()
     used = tape.param("used", Tensor(rng.standard_normal(4).astype(np.float32)))
     tape.param("idle", Tensor(rng.standard_normal((2, 2)).astype(np.float32)))
-    loss = sum_all(used, tape)
+    loss = _mean_square(used, tape)
     grads = backward(tape, loss)
     assert np.array_equal(grads["idle"].data, np.zeros((2, 2), np.float32))
 
 
 def test_sum_wx_grad_is_outer_product(rng):
-    # loss = sum(W x): dW[i,j] = x[j] repeated per output row
+    # loss = mean((W x)**2) for one input row: dW[i,j] = (2/N) (W x)[i] * x[j]
     w0 = rng.standard_normal((3, 4)).astype(np.float32)
     x0 = rng.standard_normal((1, 4)).astype(np.float32)
     tape = Tape()
     w = tape.param("w", Tensor(w0))
-    loss = sum_all(_linear(Tensor(x0), w, Tensor(np.zeros(3, np.float32)), tape), tape)
-    g = backward(tape, loss)["w"].data
-    expected = np.tile(x0, (3, 1))
+    y = _linear(Tensor(x0), w, Tensor(np.zeros(3, np.float32)), tape)
+    g = backward(tape, _mean_square(y, tape))["w"].data
+    expected = np.outer(_dmean_square(y), x0.astype(np.float64)).astype(np.float32)
     assert np.abs(g - expected).max() <= 1e-6
 
 
@@ -221,12 +235,12 @@ def test_double_forward_accumulates(rng):
 
     tape = Tape()
     w = tape.param("w", wt)
-    loss = add(sum_all(_linear(x0, w, b0, tape), tape), sum_all(_linear(x0, w, b0, tape), tape), tape)
+    loss = add(_mean_square(_linear(x0, w, b0, tape), tape), _mean_square(_linear(x0, w, b0, tape), tape), tape)
     g2 = backward(tape, loss)["w"].data
 
     tape1 = Tape()
     w1 = tape1.param("w", wt)
-    g1 = backward(tape1, sum_all(_linear(x0, w1, b0, tape1), tape1))["w"].data
+    g1 = backward(tape1, _mean_square(_linear(x0, w1, b0, tape1), tape1))["w"].data
     assert np.allclose(g2, 2 * g1, atol=1e-6)
 
 
@@ -248,7 +262,7 @@ def test_backward_rejects_foreign_and_nonscalar(rng):
         backward(tape, y)  # not scalar
     other = Tape()
     with pytest.raises(ValueError):
-        backward(other, sum_all(y, tape))  # wrong tape
+        backward(other, _mean_square(y, tape))  # wrong tape
 
 
 def test_constants_do_not_receive_grads(rng):
@@ -257,10 +271,10 @@ def test_constants_do_not_receive_grads(rng):
     c = other.param("c", Tensor(rng.standard_normal((2, 2)).astype(np.float32)))
     tape = Tape()
     x = tape.param("x", Tensor(rng.standard_normal((2, 2)).astype(np.float32)))
-    loss = sum_all(add(x, c, tape), tape)
-    grads = backward(tape, loss)
+    s = add(x, c, tape)
+    grads = backward(tape, _mean_square(s, tape))
     assert set(grads) == {"x"}
-    assert np.array_equal(grads["x"].data, np.ones((2, 2), np.float32))
+    assert np.array_equal(grads["x"].data, _dmean_square(s).astype(np.float32))
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -103,6 +104,9 @@ def test_config_validation():
         TrainConfig(steps=10, lambda1=0.0, lambda2=0.0).validate()
     with pytest.raises(ConfigError):
         TrainConfig(steps=10, lambda1=1.5).validate()
+    for lambda_w in (-1e-4, math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            TrainConfig(steps=10, lambda_w=lambda_w).validate()
     with pytest.raises(ConfigError):
         TrainConfig(steps=10, switch_every=0).validate()
     with pytest.raises(ConfigError):
