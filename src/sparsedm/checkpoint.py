@@ -26,7 +26,7 @@ import numpy as np
 
 from .diffusion import DATA_DIM, NoisePredictor, NoiseSchedule, make_schedule
 from .errors import ArchitectureError, ConfigError
-from .sparsity import MaskedLinear, NMPattern, SparseMask
+from .sparsity import MaskedLinear, NMPattern, satisfies
 from .tensor import Tensor
 
 MAGIC = b"SDM1"
@@ -123,12 +123,12 @@ def save_model(run_dir, model: NoisePredictor, sched: NoiseSchedule, seed: int, 
     for layer in model.layers:
         entries.append((f"{layer.name}.weight", KIND_FLOAT, layer.weight.data))
         entries.append((f"{layer.name}.bias", KIND_FLOAT, layer.bias.data))
-        entries.append((f"{layer.name}.mask", KIND_MASK, layer.mask.bits))
+        entries.append((f"{layer.name}.mask", KIND_MASK, layer.mask))
     write_entries(run_dir / CKPT_NAME, entries)
     meta = {
         "format_version": FORMAT_VERSION,
         "architecture": {
-            "data_dim": model.data_dim,
+            "data_dim": DATA_DIM,
             "temb_dim": model.temb_dim,
             "hidden": list(model.hidden),
         },
@@ -176,11 +176,10 @@ def load_model(path) -> tuple[NoisePredictor, NoiseSchedule, dict]:
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise ConfigError(f"{ckpt_path}: layer {name} weight or bias holds NaN or inf")
         pat = NMPattern.parse(rec["pattern"]) if rec.get("pattern") else None
-        mask = SparseMask(m)
         # a dense layer's mask must be all ones, which is what 1:1 asks of every entry
-        if not mask.satisfies(pat or NMPattern(1, 1)):
+        if not satisfies(m, pat or NMPattern(1, 1)):
             raise ConfigError(f"{ckpt_path}: layer {name} mask does not satisfy its recorded pattern {pat or 'dense'}")
-        layers.append(MaskedLinear(name=name, weight=Tensor(w), bias=Tensor(b), mask=mask, pattern=pat))
+        layers.append(MaskedLinear(name=name, weight=Tensor(w), bias=Tensor(b), mask=m, pattern=pat))
     model = NoisePredictor(layers=layers, temb_dim=meta["architecture"]["temb_dim"])
     widths = [DATA_DIM + model.temb_dim] + [l.out_features for l in layers]
     if [l.in_features for l in layers] != widths[:-1] or widths[-1] != DATA_DIM:

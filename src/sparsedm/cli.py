@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as ckpt
-from .diffusion import DATASETS, NoisePredictor, ToyDataset, ddpm_sample, make_schedule, toy_batch
+from .diffusion import DATASETS, NoisePredictor, ddpm_sample, make_schedule, toy_batch
 from .errors import (
     ArchitectureError,
     CompressedPathError,
@@ -141,8 +142,16 @@ def _check_value(key: str, value, default) -> None:
         raise ConfigError(f"config key {key!r} must be one of {list(opt.choices)}, got {value!r}")
 
 
+def _check_out(out: Path) -> None:
+    """Refuse an ``--out`` that cannot become a writable directory; creates nothing."""
+    # the nearest existing path, out itself included, must be a writable directory
+    base = next((p for p in (out, *out.parents) if p.exists()), out)
+    if not (base.is_dir() and os.access(base, os.W_OK | os.X_OK)):
+        raise ConfigError(f"--out {out} cannot be a writable directory: {base} is not one")
+
+
 def _merge_config(cmd: str, args: argparse.Namespace) -> dict:
-    """Defaults, then the config file's checked values, then explicit flags."""
+    """Defaults, then the config file's checked values, then explicit flags; refuses a negative seed or bad --out."""
     cfg = _defaults(cmd)
     if args.config:
         path = Path(args.config)
@@ -164,6 +173,9 @@ def _merge_config(cmd: str, args: argparse.Namespace) -> dict:
         flag = getattr(args, key)
         if flag is not None:
             cfg[key] = flag
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {cfg['seed']}")
+    _check_out(Path(args.out))
     return cfg
 
 
@@ -239,11 +251,10 @@ def _write_scatter_svg(path: Path, pts: np.ndarray, size: int = 440, margin: int
 def cmd_train_dense(args) -> int:
     cfg = _merge_config("train-dense", args)
     sched = make_schedule(cfg["T"], cfg["beta_start"], cfg["beta_end"])
-    dataset = ToyDataset(cfg["data"])
     config = _train_config(cfg)
     hidden = _parse_hidden(cfg["hidden"])
     model = NoisePredictor.create(stream(cfg["seed"], "init"), hidden=hidden)
-    model, trace = transfer_train(model, None, dataset, sched, config)
+    model, trace = transfer_train(model, None, cfg["data"], sched, config)
     out = _echo_config(args, cfg)
     ckpt.save_model(out, model, sched, cfg["seed"], extra={"label": "dense"})
     _write_trace(out / "trace.jsonl", trace)
@@ -264,7 +275,7 @@ def cmd_prune(args) -> int:
             print(f"{layer.name}: dense (input width {layer.in_features} "
                   f"not divisible by {pattern.m})")
         else:
-            zeros = float((layer.mask.bits == 0).mean())
+            zeros = float((layer.mask == 0).mean())
             extra = ", transposable" if has_transposable_mask(layer) else ""
             print(f"{layer.name}: pattern {layer.pattern} sparsity {zeros:.3f}{extra}")
     ckpt.save_model(out, model, sched, meta.get("seed", cfg["seed"]), extra={"label": f"pruned-{pattern}"})
@@ -292,9 +303,8 @@ def cmd_train_sparse(args) -> int:
     teacher, t_sched, _ = ckpt.load_model(args.teacher)
     if t_sched.T != sched.T:
         raise ConfigError(f"student schedule T={sched.T} differs from teacher T={t_sched.T}")
-    dataset = ToyDataset(cfg["data"])
     config = _train_config(cfg, schedule=_schedule(cfg, student))
-    student, trace = transfer_train(student, teacher, dataset, sched, config)
+    student, trace = transfer_train(student, teacher, cfg["data"], sched, config)
     out = _echo_config(args, cfg)
     label = "ste-baseline" if config.lambda1 == 0.0 else "transfer"
     ckpt.save_model(out, student, sched, cfg["seed"], extra={"label": label})
@@ -325,12 +335,11 @@ def cmd_sample(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _merge_config("eval", args)
     model, sched, _ = ckpt.load_model(args.ckpt)
-    dataset = ToyDataset(cfg["data"])
     n = cfg["n"]
     if n < 2:
         raise ConfigError(f"eval needs n >= 2, got {n}")
-    samples = ddpm_sample(model, n, sched, stream(cfg["seed"], "sample"))
-    ref = toy_batch(dataset, n, stream(cfg["seed"], "eval"))
+    samples = ddpm_sample(model, n, sched, stream(cfg["seed"], "sample")).data
+    ref = toy_batch(cfg["data"], n, stream(cfg["seed"], "eval")).data
     macs = macs_count(model, (1,))
     report = {
         "energy_distance": float(energy_distance(samples, ref)),
@@ -352,10 +361,9 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _merge_config("sweep", args)
     teacher, sched, _ = ckpt.load_model(args.ckpt)
-    dataset = ToyDataset(cfg["data"])
     patterns = [NMPattern.parse(p) for p in cfg["patterns"].split(",") if p]
     config = _train_config(cfg)
-    rows = sweep_ratios(teacher, patterns, dataset, sched, config, n_eval=cfg["n_eval"])
+    rows = sweep_ratios(teacher, patterns, cfg["data"], sched, config, n_eval=cfg["n_eval"])
     out = _echo_config(args, cfg)
     write_sweep_csv(rows, out / "sweep.csv")
     for r in rows:

@@ -114,10 +114,6 @@ class NoisePredictor:
         return cls(layers=layers, temb_dim=temb_dim)
 
     @property
-    def data_dim(self) -> int:
-        return self.layers[-1].out_features
-
-    @property
     def hidden(self) -> tuple[int, ...]:
         return tuple(layer.out_features for layer in self.layers[:-1])
 
@@ -206,26 +202,17 @@ _SWISS_STD = np.array([6.623712, 6.950436])
 _CHECKER_SCALE = 1.0 / np.sqrt(4.0 / 3.0)
 
 
-@dataclass(frozen=True)
-class ToyDataset:
-    """Named 2-d toy distribution, normalized to zero mean and unit scale."""
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in DATASETS:
-            raise ConfigError(f"unknown dataset {self.kind!r}, choose from {DATASETS}")
-
-
-def toy_batch(dataset: ToyDataset, n: int, rng: np.random.Generator) -> Tensor:
-    """Draw n points; deterministic for a given generator state."""
+def toy_batch(dataset: str, n: int, rng: np.random.Generator) -> Tensor:
+    """Draw n points of a named dataset at zero mean and unit scale; deterministic per generator state."""
+    if dataset not in DATASETS:
+        raise ConfigError(f"unknown dataset {dataset!r}, choose from {DATASETS}")
     if n < 0:
         raise ConfigError(f"batch size must be >= 0, got {n}")
-    if dataset.kind == "gauss8":
+    if dataset == "gauss8":
         idx = rng.integers(0, 8, size=n)
         pts = _G8_CENTERS[idx] + rng.normal(0.0, _G8_SIGMA, size=(n, 2))
         pts = pts * _G8_SCALE
-    elif dataset.kind == "swiss_roll":
+    elif dataset == "swiss_roll":
         phi = 1.5 * np.pi * (1.0 + 2.0 * rng.random(n))
         pts = np.stack([phi * np.cos(phi), phi * np.sin(phi)], axis=1)
         pts = (pts - _SWISS_MEAN) / _SWISS_STD

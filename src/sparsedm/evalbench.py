@@ -11,10 +11,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .diffusion import NoisePredictor, NoiseSchedule, ToyDataset, ddpm_sample, toy_batch
+from .diffusion import NoisePredictor, NoiseSchedule, ddpm_sample, toy_batch
 from .errors import ConfigError
 from .rng import derive_seed, stream
-from .sparsity import NMPattern, Tensor
+from .sparsity import MaskedLinear, NMPattern
 from .trainer import TrainConfig, transfer_train
 
 # the ten keep ratios of the standard sweep, densest first
@@ -27,16 +27,7 @@ SWEEP_HEADER = "pattern,sparsity,macs_sparse,macs_dense,energy_distance"
 
 
 @dataclass(frozen=True)
-class LayerMacs:
-    name: str
-    dense: int
-    effective: int
-    pattern: str | None
-
-
-@dataclass(frozen=True)
 class MacsReport:
-    layers: tuple[LayerMacs, ...]
     dense_total: int
     sparse_total: int
 
@@ -45,31 +36,25 @@ class MacsReport:
         return 1.0 - self.sparse_total / self.dense_total
 
 
+def layer_macs(layer: MaskedLinear, batch: int = 1) -> tuple[int, int]:
+    """(dense, effective) weight-multiply counts of one layer over a batch."""
+    dense = batch * layer.out_features * layer.in_features
+    if layer.pattern is None:
+        return dense, dense
+    return dense, batch * layer.out_features * (layer.in_features // layer.pattern.m) * layer.pattern.n
+
+
 def macs_count(model: NoisePredictor, input_shape=(1,)) -> MacsReport:
-    """Weight-multiply counts per layer; batch is the leading input dimension."""
+    """Weight-multiply counts summed over layers; batch is the leading input dimension."""
     batch = int(input_shape[0])
     if batch < 1:
         raise ConfigError(f"batch must be >= 1, got {batch}")
-    layers = []
-    dense_total = 0
-    sparse_total = 0
-    for layer in model.layers:
-        dense = batch * layer.out_features * layer.in_features
-        if layer.pattern is None:
-            eff = dense
-            pat = None
-        else:
-            eff = batch * layer.out_features * (layer.in_features // layer.pattern.m) * layer.pattern.n
-            pat = str(layer.pattern)
-        layers.append(LayerMacs(layer.name, dense, eff, pat))
-        dense_total += dense
-        sparse_total += eff
-    return MacsReport(layers=tuple(layers), dense_total=dense_total, sparse_total=sparse_total)
+    counts = [layer_macs(layer, batch) for layer in model.layers]
+    return MacsReport(dense_total=sum(d for d, _ in counts), sparse_total=sum(e for _, e in counts))
 
 
 def _points(x) -> np.ndarray:
-    a = x.data if isinstance(x, Tensor) else np.asarray(x)
-    a = np.asarray(a, dtype=np.float64)
+    a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2 or len(a) == 0:
         raise ValueError(f"energy distance needs a non-empty 2-d point set, got shape {a.shape}")
     return a
@@ -109,14 +94,14 @@ def _sweep_entry(pattern, teacher, dataset, sched, config, n_eval, ref):
         "sparsity": pattern.sparsity,
         "macs_sparse": report.sparse_total,
         "macs_dense": report.dense_total,
-        "energy_distance": energy_distance(samples, ref),
+        "energy_distance": energy_distance(samples.data, ref),
     }
 
 
 def sweep_ratios(
     teacher: NoisePredictor,
-    patterns,
-    dataset: ToyDataset,
+    patterns: list[NMPattern],
+    dataset: str,
     sched: NoiseSchedule,
     config: TrainConfig,
     n_eval: int = 2000,
@@ -126,7 +111,6 @@ def sweep_ratios(
     Rows come back sorted by pattern sparsity.  Each entry derives its seeds
     from its own pattern, so the request order never changes a row.
     """
-    patterns = [p if isinstance(p, NMPattern) else NMPattern.parse(p) for p in patterns]
     if not patterns:
         raise ConfigError("sweep needs at least one pattern")
     config.validate()

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
-
 STREAMS = {
     "init": 0,     # parameter initialization
     "data": 1,     # training batches
@@ -23,8 +21,6 @@ STREAMS = {
 
 def stream(seed: int, name: str) -> np.random.Generator:
     """Return the PCG64 generator for one named component of a seeded run."""
-    if seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     try:
         base = STREAMS[name]
     except KeyError:

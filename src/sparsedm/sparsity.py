@@ -50,44 +50,17 @@ class NMPattern:
         return f"{self.n}:{self.m}"
 
 
-class SparseMask:
-    """0/1 mask over a 2-d weight matrix, grouped along the column axis."""
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits):
-        arr = np.ascontiguousarray(bits, dtype=np.uint8)
-        if arr.ndim != 2:
-            raise DimensionError(f"mask must be 2-d, got shape {arr.shape}")
-        if arr.size and not np.isin(arr, (0, 1)).all():
-            raise ValueError("mask entries must be 0 or 1")
-        self.bits = arr
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.bits.shape
-
-    @classmethod
-    def ones(cls, shape) -> "SparseMask":
-        return cls(np.ones(shape, dtype=np.uint8))
-
-    def satisfies(self, pattern: NMPattern) -> bool:
-        """True when every m-group along the column axis holds exactly n ones."""
-        rows, cols = self.bits.shape
-        if cols % pattern.m:
-            return False
-        counts = self.bits.reshape(rows, cols // pattern.m, pattern.m).sum(axis=2)
-        return bool((counts == pattern.n).all())
-
-    def copy(self) -> "SparseMask":
-        return SparseMask(self.bits.copy())
-
-    def __repr__(self) -> str:
-        return f"SparseMask{self.shape}"
+def satisfies(mask: np.ndarray, pattern: NMPattern) -> bool:
+    """True when every m-group along the column axis of a 0/1 mask holds exactly n ones."""
+    rows, cols = mask.shape
+    if cols % pattern.m:
+        return False
+    counts = mask.reshape(rows, cols // pattern.m, pattern.m).sum(axis=2)
+    return bool((counts == pattern.n).all())
 
 
-def project_mask(w: Tensor, pattern: NMPattern) -> SparseMask:
-    """Magnitude projection: per m-group keep the n largest |w|.
+def project_mask(w: Tensor, pattern: NMPattern) -> np.ndarray:
+    """Magnitude projection: a uint8 0/1 mask keeping the n largest |w| per m-group.
 
     Ties break toward the lower column index (stable sort on the negated
     magnitudes), so projection is deterministic.
@@ -103,7 +76,7 @@ def project_mask(w: Tensor, pattern: NMPattern) -> SparseMask:
     keep = order[:, : pattern.n]
     bits = np.zeros_like(mags, dtype=np.uint8)
     np.put_along_axis(bits, keep, 1, axis=1)
-    return SparseMask(bits.reshape(rows, cols))
+    return bits.reshape(rows, cols)
 
 
 @dataclass
@@ -113,7 +86,7 @@ class MaskedLinear:
     name: str
     weight: Tensor
     bias: Tensor
-    mask: SparseMask
+    mask: np.ndarray  # C-contiguous uint8, 0 or 1 per weight
     pattern: NMPattern | None = None  # None means dense (all-ones mask)
 
     @classmethod
@@ -123,7 +96,7 @@ class MaskedLinear:
             name=name,
             weight=Tensor(w),
             bias=Tensor.zeros((n_out,)),
-            mask=SparseMask.ones((n_out, n_in)),
+            mask=np.ones((n_out, n_in), dtype=np.uint8),
         )
 
     @property
@@ -135,7 +108,7 @@ class MaskedLinear:
         return self.weight.shape[0]
 
     def effective_weight(self) -> np.ndarray:
-        return self.weight.data * self.mask.bits
+        return self.weight.data * self.mask
 
     def copy(self) -> "MaskedLinear":
         return MaskedLinear(self.name, self.weight.copy(), self.bias.copy(), self.mask.copy(), self.pattern)
@@ -210,7 +183,7 @@ def _pack_crumbs(u: np.ndarray) -> np.ndarray:
     return (q[:, 0] | (q[:, 1] << 2) | (q[:, 2] << 4) | (q[:, 3] << 6)).astype(np.uint8)
 
 
-def compress_2_4(w: Tensor, mask: SparseMask) -> Compressed24:
+def compress_2_4(w: Tensor, mask: np.ndarray) -> Compressed24:
     """Compress a 2:4-sparse matrix at its mask's kept positions, so explicit zeros stay lossless."""
     if w.data.ndim != 2:
         raise DimensionError(f"compress_2_4 needs a 2-d weight, got {w.shape}")
@@ -220,7 +193,7 @@ def compress_2_4(w: Tensor, mask: SparseMask) -> Compressed24:
     if mask.shape != w.shape:
         raise DimensionError(f"weight {w.shape} and mask {mask.shape} differ")
     groups = w.data.reshape(rows, cols // 4, 4)
-    bits = mask.bits.reshape(rows, cols // 4, 4)
+    bits = mask.reshape(rows, cols // 4, 4)
     counts = bits.sum(axis=2)
     if not (counts == 2).all():
         r, g = np.argwhere(counts != 2)[0]
@@ -249,11 +222,6 @@ def spmm(c: Compressed24, x: Tensor) -> Tensor:
     return Tensor((c.to_csr() @ x64.T).T)
 
 
-def spmm_macs(c: Compressed24, batch: int) -> int:
-    """Multiply-accumulate count of one spmm call: half the dense count."""
-    return batch * c.rows * (c.cols // 2)
-
-
 @dataclass(frozen=True)
 class CompressedLinear:
     """Frozen 2:4 layer: compressed weight plus bias, run through ``spmm``."""
@@ -279,14 +247,14 @@ class CompressedLinear:
 # transposable masks
 # ---------------------------------------------------------------------------
 
-def is_transposable(mask: SparseMask, pattern: NMPattern) -> bool:
+def is_transposable(mask: np.ndarray, pattern: NMPattern) -> bool:
     """True when the mask satisfies the pattern along both orientations."""
     rows, cols = mask.shape
     if rows % pattern.m or cols % pattern.m:
         raise PatternError(
             f"mask {rows}x{cols} needs both dims divisible by {pattern.m} for the transposed check"
         )
-    return mask.satisfies(pattern) and SparseMask(mask.bits.T).satisfies(pattern)
+    return satisfies(mask, pattern) and satisfies(mask.T, pattern)
 
 
 _SUPPORTS_2_4: np.ndarray | None = None
@@ -316,7 +284,7 @@ def _supports_2_4() -> np.ndarray:
     return _SUPPORTS_2_4
 
 
-def make_transposable(w: Tensor, pattern: NMPattern) -> SparseMask:
+def make_transposable(w: Tensor, pattern: NMPattern) -> np.ndarray:
     """Best transposable 2:4 mask by exhaustive search over each 4x4 block.
 
     Every block picks the support (out of the 90 doubly 2-per-line ones)
@@ -340,5 +308,4 @@ def make_transposable(w: Tensor, pattern: NMPattern) -> SparseMask:
     scores = np.einsum("bij,sij->bs", blocks, sups)
     choice = scores.argmax(axis=1)  # argmax takes the first maximum
     picked = _supports_2_4()[choice].reshape(rows // 4, cols // 4, 4, 4)
-    bits = picked.transpose(0, 2, 1, 3).reshape(rows, cols)
-    return SparseMask(bits)
+    return picked.transpose(0, 2, 1, 3).reshape(rows, cols)

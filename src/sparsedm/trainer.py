@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import NoisePredictor, NoiseSchedule, ToyDataset, ddpm_sample, diffusion_loss, q_sample, toy_batch
+from .diffusion import NoisePredictor, NoiseSchedule, ddpm_sample, diffusion_loss, q_sample, toy_batch
 from .errors import ArchitectureError, ConfigError, DimensionError, PatternError, TrainingError
 from .rng import stream
-from .sparsity import MaskedLinear, NMPattern, SparseMask, is_transposable, make_transposable, project_mask
+from .sparsity import MaskedLinear, NMPattern, is_transposable, make_transposable, project_mask
 from .tensor import Tape, Tensor, add, backward, mse_loss, scale
 
 LR_SCHEDULES = ("constant", "cosine")
@@ -99,7 +99,7 @@ class TrainConfig:
 # update rules
 # ---------------------------------------------------------------------------
 
-def ste_update(w: Tensor, grad: Tensor, mask: SparseMask, lr: float, lambda_w: float) -> Tensor:
+def ste_update(w: Tensor, grad: Tensor, mask: np.ndarray, lr: float, lambda_w: float) -> Tensor:
     """One regularized straight-through step; float64 math, float32 result.
 
     The lambda_w term is exactly zero at kept positions (W equals W*mask
@@ -112,7 +112,7 @@ def ste_update(w: Tensor, grad: Tensor, mask: SparseMask, lr: float, lambda_w: f
     w64 = w.data.astype(np.float64)
     g64 = grad.data.astype(np.float64)
     if lambda_w:
-        g64 = g64 + lambda_w * (w64 - w64 * mask.bits)
+        g64 = g64 + lambda_w * (w64 - w64 * mask)
     return Tensor(w64 - lr * g64)
 
 
@@ -181,7 +181,7 @@ def _apply_grads(model: NoisePredictor, grads, lr: float, lambda_w: float) -> No
 def transfer_train(
     student: NoisePredictor,
     teacher: NoisePredictor | None,
-    dataset: ToyDataset,
+    dataset: str,
     sched: NoiseSchedule,
     config: TrainConfig,
 ) -> tuple[NoisePredictor, list[dict]]:
@@ -206,7 +206,7 @@ def transfer_train(
         raise ArchitectureError("student and teacher architectures differ")
     if not config.schedule:
         for layer in student.layers:
-            if layer.mask.bits.min() != 1:
+            if layer.mask.min() != 1:
                 raise ConfigError(f"dense training expects all-ones masks, layer {layer.name} is masked")
 
     transposable = any(has_transposable_mask(layer) for layer in student.layers)

@@ -44,7 +44,7 @@ def model_checksum(model) -> str:
     for layer in model.layers:
         h.update(layer.weight.data.tobytes())
         h.update(layer.bias.data.tobytes())
-        h.update(layer.mask.bits.tobytes())
+        h.update(layer.mask.tobytes())
     return h.hexdigest()
 
 

@@ -42,7 +42,7 @@ def test_roundtrip_restores_every_tensor_bitwise(tmp_path):
         assert a.name == b.name
         assert a.weight.data.tobytes() == b.weight.data.tobytes()
         assert a.bias.data.tobytes() == b.bias.data.tobytes()
-        assert np.array_equal(a.mask.bits, b.mask.bits)
+        assert np.array_equal(a.mask, b.mask)
         assert a.pattern == b.pattern
     assert loaded.temb_dim == model.temb_dim
     assert lsched.T == 50

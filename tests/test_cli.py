@@ -25,7 +25,7 @@ from sparsedm.cli import COMMANDS, FLAGS, METRIC_NAME, OPTIONS, _defaults, main
 from sparsedm.diffusion import NoisePredictor
 from sparsedm.evalbench import SWEEP_HEADER
 from sparsedm.rng import stream
-from sparsedm.sparsity import NMPattern, is_transposable
+from sparsedm.sparsity import NMPattern, is_transposable, satisfies
 
 from conftest import REPORT_SCHEMA, file_checksum, model_checksum
 
@@ -101,7 +101,7 @@ def test_prune_reports_layers(runs, tmp_path, capsys):
     assert model.layers[0].pattern is None
     for layer in model.layers[1:]:
         assert layer.pattern == NMPattern(2, 4)
-        assert float((layer.mask.bits == 0).mean()) == 0.5
+        assert float((layer.mask == 0).mean()) == 0.5
 
 
 def test_prune_leaves_source_checkpoint_alone(runs):
@@ -134,7 +134,7 @@ def test_train_sparse_trace_and_label(runs):
     model, _, _ = load_model(sparse)
     for layer in model.layers:
         if layer.pattern is not None:
-            assert layer.mask.satisfies(NMPattern(2, 4))
+            assert satisfies(layer.mask, NMPattern(2, 4))
 
 
 def test_train_sparse_ste_baseline_label(runs, tmp_path):
@@ -159,7 +159,7 @@ def test_train_sparse_progressive_switches(runs, tmp_path):
     model, _, _ = load_model(out)
     for layer in model.layers:
         if layer.pattern is not None:
-            assert layer.mask.satisfies(NMPattern(2, 4))
+            assert satisfies(layer.mask, NMPattern(2, 4))
 
 
 def test_sample_csv_and_svg(runs, tmp_path):
@@ -290,12 +290,26 @@ def test_unknown_config_key_is_rejected(tmp_path):
     assert rc == 2
 
 
-def test_unwritable_out_dir(tmp_path):
+def _no_compute(*args, **kwargs):
+    raise AssertionError("compute started before --out was checked")
+
+
+def test_unwritable_out_dir(runs, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("sparsedm.cli.transfer_train", _no_compute)
+    monkeypatch.setattr("sparsedm.cli.sweep_ratios", _no_compute)
     blocker = tmp_path / "file.txt"
     blocker.write_text("")
-    rc = main(["train-dense", "--out", str(blocker / "out"), "--steps", "0",
-               "--T", "8", "--hidden", "32"])
-    assert rc == 2
+    argvs = {"train-dense": ["--steps", "0", "--T", "8", "--hidden", "32"],
+             "sweep": ["--ckpt", str(runs["dense"]), "--patterns", "2:4", "--steps", "2",
+                       "--teacher-bank", "16", "--n-eval", "16"]}
+    # a regular file where a parent directory should be, and a regular file as --out itself
+    for cmd, argv in argvs.items():
+        for out in (blocker / "out", blocker):
+            capsys.readouterr()
+            assert main([cmd, "--out", str(out), *argv]) == 2, (cmd, out)
+            err = capsys.readouterr().err
+            assert err.startswith("error: --out") and len(err.splitlines()) == 1
+            assert blocker.read_text() == ""
 
 
 def test_architecture_mismatch_exit_code(runs, tmp_path):
@@ -375,11 +389,14 @@ def test_mistyped_config_value_exits_2(runs, tmp_path, capsys, cmd, values):
     assert not (tmp_path / "x" / "config.json").exists()
 
 
-@pytest.mark.parametrize("cmd", ["train-dense", "sample"])
+# prune draws no random numbers, so only the config check can refuse its seed
+@pytest.mark.parametrize("cmd", ["train-dense", "prune", "sample"])
 @pytest.mark.parametrize("via", ["flag", "config"])
 def test_negative_seed_exits_2(runs, tmp_path, capsys, cmd, via):
     argv = [cmd, "--out", str(tmp_path / "x")]
-    argv += ["--steps", "2", "--T", "4", "--hidden", "32"] if cmd == "train-dense" else ["--ckpt", str(runs["sparse"])]
+    argv += {"train-dense": ["--steps", "2", "--T", "4", "--hidden", "32"],
+             "prune": ["--ckpt", str(runs["dense"])],
+             "sample": ["--ckpt", str(runs["sparse"])]}[cmd]
     if via == "flag":
         argv += ["--seed", "-1"]
     else:
@@ -616,7 +633,7 @@ def test_damaged_checkpoint_exits_with_documented_code(tiny, data):
         else:
             # a run that succeeds loaded masks that keep their patterns and drew finite samples
             for layer in load_model(ckpt)[0].layers:
-                assert layer.mask.satisfies(layer.pattern or NMPattern(1, 1))
+                assert satisfies(layer.mask, layer.pattern or NMPattern(1, 1))
             assert np.isfinite(_read_csv_points(Path(tmp) / "s" / "samples.csv")).all()
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from sparsedm.diffusion import (
     NoisePredictor,
-    ToyDataset,
     ddpm_sample,
     diffusion_loss,
     make_schedule,
@@ -254,13 +253,13 @@ def test_sampler_recovers_gaussian_mean():
 
 @pytest.mark.parametrize("kind", ["gauss8", "swiss_roll", "checkerboard"])
 def test_dataset_moments(kind):
-    pts = toy_batch(ToyDataset(kind), 60_000, stream(1, "data")).data.astype(np.float64)
+    pts = toy_batch(kind, 60_000, stream(1, "data")).data.astype(np.float64)
     assert np.abs(pts.mean(axis=0)).max() <= 0.1
     assert np.abs(pts.std(axis=0) - 1.0).max() <= 0.1
 
 
 def test_gauss8_modes_cluster():
-    pts = toy_batch(ToyDataset("gauss8"), 8000, stream(2, "data")).data.astype(np.float64)
+    pts = toy_batch("gauss8", 8000, stream(2, "data")).data.astype(np.float64)
     r = 1.0 / math.sqrt(0.51)
     angles = np.arange(8) * (2 * math.pi / 8)
     centers = r * np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -273,11 +272,11 @@ def test_gauss8_modes_cluster():
 
 
 def test_dataset_seed_determinism():
-    a = toy_batch(ToyDataset("swiss_roll"), 64, stream(9, "data")).data
-    b = toy_batch(ToyDataset("swiss_roll"), 64, stream(9, "data")).data
+    a = toy_batch("swiss_roll", 64, stream(9, "data")).data
+    b = toy_batch("swiss_roll", 64, stream(9, "data")).data
     assert a.tobytes() == b.tobytes()
 
 
 def test_dataset_unknown_kind():
     with pytest.raises(ConfigError):
-        ToyDataset("spiral")
+        toy_batch("spiral", 4, stream(0, "data"))

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsedm.diffusion import NoisePredictor, ToyDataset, make_schedule
+from sparsedm.diffusion import NoisePredictor, make_schedule
 from sparsedm.evalbench import (
     DEFAULT_SWEEP_PATTERNS,
     SWEEP_HEADER,
     energy_distance,
+    layer_macs,
     macs_count,
     sweep_ratios,
     write_sweep_csv,
@@ -57,11 +58,12 @@ def test_macs_sum_rule_against_per_layer():
     model = NoisePredictor.create(stream(1, "init"), hidden=(64, 32))
     prune_one_shot(model, NMPattern(1, 4))
     rep = macs_count(model, (8,))
-    assert rep.sparse_total == sum(l.effective for l in rep.layers)
-    assert rep.dense_total == sum(l.dense for l in rep.layers)
-    for l in rep.layers:
-        if l.pattern == "1:4":
-            assert l.effective * 4 == l.dense
+    per_layer = [layer_macs(layer, 8) for layer in model.layers]
+    assert rep.sparse_total == sum(eff for _, eff in per_layer)
+    assert rep.dense_total == sum(dense for dense, _ in per_layer)
+    for layer, (dense, eff) in zip(model.layers, per_layer):
+        if layer.pattern == NMPattern(1, 4):
+            assert eff * 4 == dense
 
 
 def test_energy_distance_identical_zero(rng):
@@ -115,7 +117,7 @@ def test_sweep_structure_small():
     sched = make_schedule(5, 1e-4, 0.02)
     config = TrainConfig(steps=4, batch_size=32, lambda1=0.5, lambda2=0.5,
                          teacher_bank=64, seed=0)
-    rows = sweep_ratios(teacher, [NMPattern(1, 4), NMPattern(2, 4)], ToyDataset("gauss8"),
+    rows = sweep_ratios(teacher, [NMPattern(1, 4), NMPattern(2, 4)], "gauss8",
                         sched, config, n_eval=64)
     assert [r["pattern"] for r in rows] == ["2:4", "1:4"]  # sorted by sparsity
     for r in rows:
@@ -130,8 +132,9 @@ def test_sweep_deterministic_and_order_independent():
     sched = make_schedule(5, 1e-4, 0.02)
     config = TrainConfig(steps=3, batch_size=16, lambda1=0.0, lambda2=1.0,
                          teacher_bank=32, seed=2)
-    a = sweep_ratios(teacher, ["2:4", "1:8"], ToyDataset("gauss8"), sched, config, n_eval=32)
-    b = sweep_ratios(teacher, ["1:8", "2:4"], ToyDataset("gauss8"), sched, config, n_eval=32)
+    p24, p18 = NMPattern.parse("2:4"), NMPattern.parse("1:8")
+    a = sweep_ratios(teacher, [p24, p18], "gauss8", sched, config, n_eval=32)
+    b = sweep_ratios(teacher, [p18, p24], "gauss8", sched, config, n_eval=32)
     assert a == b
 
 
@@ -158,12 +161,12 @@ def test_extreme_sparsity_not_better_than_24():
         layers = [_dense_layer_rng("fc1", 64, 64, r), _dense_layer_rng("fc2", 64, 64, r),
                   _dense_layer_rng("fc3", 64, 2, r)]
         teacher = NoisePredictor(layers=layers, temb_dim=62)
-        teacher, _ = transfer_train(teacher, None, ToyDataset("gauss8"), sched,
+        teacher, _ = transfer_train(teacher, None, "gauss8", sched,
                                     TrainConfig(steps=800, seed=seed))
         config = TrainConfig(steps=800, lambda1=0.0, lambda2=1.0, teacher_bank=64,
                              seed=seed, lr=0.05)
-        rows = sweep_ratios(teacher, ["2:4", "1:32"], ToyDataset("gauss8"), sched,
-                            config, n_eval=1024)
+        patterns = [NMPattern.parse("2:4"), NMPattern.parse("1:32")]
+        rows = sweep_ratios(teacher, patterns, "gauss8", sched, config, n_eval=1024)
         by = {r["pattern"]: r["energy_distance"] for r in rows}
         gaps.append(by["1:32"] - by["2:4"])
     assert np.mean(gaps) >= 0

@@ -1,8 +1,12 @@
-"""The driver scripts run end to end on a tiny budget."""
+"""The driver scripts run end to end on a tiny budget, and the benchmark's tracer finds its hooks."""
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import sparsedm.cli  # noqa: F401  imports every module the tracer hooks
+from sparsedm import sparsity
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -23,3 +27,20 @@ def test_sweep_and_pipeline_scripts(tmp_path):
                                     "--transfer-steps", "2", "--n-eval", "16"], tmp_path)
     for name in ("dense", "sparse"):
         assert (tmp_path / "pipe" / f"eval-{name}" / "report.json").exists()
+
+
+def test_benchmark_tracer_finds_its_hooks():
+    """A rename in src/ must not silently drop the benchmark's per-layer rows or its selftest's calls."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    original = sparsity.project_mask
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        assert sparsity.project_mask is not original
+        # these two hooks name functions an earlier training loop had
+        assert set(tracer.missing) <= {"trainer.train_dense", "trainer._refresh_masks"}
+    finally:
+        tracer.uninstall()
+    assert sparsity.project_mask is original

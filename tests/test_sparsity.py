@@ -10,14 +10,13 @@ from sparsedm.sparsity import (
     CompressedLinear,
     MaskedLinear,
     NMPattern,
-    SparseMask,
     compress_2_4,
     is_transposable,
     make_transposable,
     masked_linear_forward,
     project_mask,
     spmm,
-    spmm_macs,
+    satisfies,
 )
 from sparsedm.tensor import Tape, Tensor, backward, mse_loss
 
@@ -51,13 +50,13 @@ def test_pattern_parse_rejects_garbage(text):
 def test_project_known_group():
     w = Tensor(np.array([[0.1, -0.5, 0.3, 0.05]], np.float32))
     m = project_mask(w, NMPattern(2, 4))
-    assert np.array_equal(m.bits[0], [0, 1, 1, 0])
+    assert np.array_equal(m[0], [0, 1, 1, 0])
 
 
 def test_project_tie_break_keeps_lowest_indices():
     w = Tensor(np.ones((1, 4), np.float32))
     m = project_mask(w, NMPattern(2, 4))
-    assert np.array_equal(m.bits[0], [1, 1, 0, 0])
+    assert np.array_equal(m[0], [1, 1, 0, 0])
 
 
 def test_project_rejects_indivisible_width():
@@ -68,8 +67,8 @@ def test_project_rejects_indivisible_width():
 def test_masked_weight_zero_count(rng):
     w = Tensor(rng.standard_normal((4, 8)).astype(np.float32))
     m = project_mask(w, NMPattern(2, 4))
-    wt = Tensor(w.data * m.bits)
-    assert (wt.data == 0).sum() >= (m.bits == 0).sum()
+    wt = Tensor(w.data * m)
+    assert (wt.data == 0).sum() >= (m == 0).sum()
 
 
 def _brute_best_sum(group, n):
@@ -86,9 +85,9 @@ def test_projection_optimal_small_m(m, seed):
     n = int(r.integers(1, m + 1))
     w = Tensor(r.standard_normal((3, 2 * m)).astype(np.float32))
     mask = project_mask(w, NMPattern(n, m))
-    assert mask.satisfies(NMPattern(n, m))
+    assert satisfies(mask, NMPattern(n, m))
     groups = w.data.reshape(3, 2, m)
-    kept = (np.abs(w.data) * mask.bits).reshape(3, 2, m).sum(axis=2)
+    kept = (np.abs(w.data) * mask).reshape(3, 2, m).sum(axis=2)
     for r_i in range(3):
         for g_i in range(2):
             best = _brute_best_sum(groups[r_i, g_i].astype(np.float64), n)
@@ -102,7 +101,7 @@ def test_projection_optimal_large_m_sort_oracle(m, seed):
     n = int(r.integers(1, m + 1))
     w = Tensor(r.standard_normal((2, m)).astype(np.float32))
     mask = project_mask(w, NMPattern(n, m))
-    kept = (np.abs(w.data.astype(np.float64)) * mask.bits).sum()
+    kept = (np.abs(w.data.astype(np.float64)) * mask).sum()
     best = np.sort(np.abs(w.data.astype(np.float64)), axis=1)[:, m - n:].sum()
     assert abs(kept - best) <= 1e-6
 
@@ -124,7 +123,7 @@ def test_masked_linear_all_ones_equals_plain(rng):
 
 def test_masked_linear_zeroed_output_row_is_bias(rng):
     layer = MaskedLinear.dense("l", 4, 2, rng)
-    layer.mask.bits[1, :] = 0
+    layer.mask[1, :] = 0
     out = masked_linear_forward(Tensor(rng.standard_normal((3, 4)).astype(np.float32)), layer)
     assert np.allclose(out.data[:, 1], layer.bias.data[1])
 
@@ -152,14 +151,14 @@ def test_ste_weight_grad_matches_fd_at_effective_weight(rng):
 
     ref = fd_grad(f, w_eff)
     assert_close_rel(g, ref, rel=1e-3)
-    pruned = layer.mask.bits == 0
+    pruned = layer.mask == 0
     assert pruned.any()
     assert np.abs(g[pruned]).max() > 0
 
 
 def test_compress_known_row():
     w = Tensor(np.array([[0.0, 5.0, 0.0, 7.0]], np.float32))
-    c = compress_2_4(w, SparseMask(np.array([[0, 1, 0, 1]], np.uint8)))
+    c = compress_2_4(w, np.array([[0, 1, 0, 1]], np.uint8))
     assert np.array_equal(c.values, np.array([5.0, 7.0], np.float32))
     assert np.array_equal(c.ingroup_indices(), np.array([[1, 3]], np.uint8))
     assert c.indices.tobytes() == bytes([0b1101])
@@ -167,7 +166,7 @@ def test_compress_known_row():
 
 def test_compress_zero_values_uses_mask_positions():
     w = Tensor(np.zeros((1, 4), np.float32))
-    mask = SparseMask(np.array([[1, 0, 0, 1]], np.uint8))
+    mask = np.array([[1, 0, 0, 1]], np.uint8)
     c = compress_2_4(w, mask)
     assert np.array_equal(c.values, np.zeros(2, np.float32))
     assert np.array_equal(c.ingroup_indices(), np.array([[0, 3]], np.uint8))
@@ -177,7 +176,7 @@ def test_compress_roundtrip_random(rng):
     for _ in range(5):
         w = Tensor(rng.standard_normal((64, 64)).astype(np.float32))
         mask = project_mask(w, NMPattern(2, 4))
-        wt = Tensor(w.data * mask.bits)
+        wt = Tensor(w.data * mask)
         back = compress_2_4(wt, mask).to_csr().toarray()
         assert np.array_equal(back, wt.data)
 
@@ -185,19 +184,19 @@ def test_compress_roundtrip_random(rng):
 def test_compress_rejects_overfull_group():
     w = Tensor(np.array([[1.0, 2.0, 3.0, 0.0]], np.float32))
     with pytest.raises(CompressionError):
-        compress_2_4(w, SparseMask(np.array([[1, 1, 1, 0]], np.uint8)))
+        compress_2_4(w, np.array([[1, 1, 1, 0]], np.uint8))
 
 
 def test_compress_rejects_value_outside_mask():
     w = Tensor(np.array([[1.0, 2.0, 3.0, 0.0]], np.float32))
-    mask = SparseMask(np.array([[1, 1, 0, 0]], np.uint8))
+    mask = np.array([[1, 1, 0, 0]], np.uint8)
     with pytest.raises(CompressionError):
         compress_2_4(w, mask)
 
 
 def test_compress_rejects_indivisible_cols():
     with pytest.raises(PatternError):
-        compress_2_4(Tensor(np.zeros((2, 6), np.float32)), SparseMask(np.ones((2, 6), np.uint8)))
+        compress_2_4(Tensor(np.zeros((2, 6), np.float32)), np.ones((2, 6), np.uint8))
 
 
 def test_spmm_identity_like_selects_inputs():
@@ -205,7 +204,7 @@ def test_spmm_identity_like_selects_inputs():
     w = np.zeros((2, 4), np.float32)
     w[0, 1] = 1.0
     w[1, 3] = 1.0
-    mask = SparseMask(np.array([[1, 1, 0, 0], [0, 0, 1, 1]], np.uint8))
+    mask = np.array([[1, 1, 0, 0], [0, 0, 1, 1]], np.uint8)
     c = compress_2_4(Tensor(w), mask)
     x = Tensor(np.arange(8, dtype=np.float32).reshape(2, 4))
     out = spmm(c, x)
@@ -218,18 +217,12 @@ def test_spmm_identity_like_selects_inputs():
 def test_spmm_matches_dense_masked_matmul(rng, batch, n_in, n_out):
     w = Tensor(rng.standard_normal((n_out, n_in)).astype(np.float32))
     mask = project_mask(w, NMPattern(2, 4))
-    wt = Tensor(w.data * mask.bits)
+    wt = Tensor(w.data * mask)
     x = rng.standard_normal((batch, n_in)).astype(np.float32)
     dense = (x.astype(np.float64) @ wt.data.astype(np.float64).T).astype(np.float32)
     got = spmm(compress_2_4(wt, mask), Tensor(x)).data
     scale = np.abs(dense).max()
     assert np.abs(got - dense).max() / scale <= 1e-5
-
-
-def test_spmm_macs_half_of_dense():
-    c = compress_2_4(Tensor(np.zeros((8, 16), np.float32)),
-                     project_mask(Tensor(np.ones((8, 16), np.float32)), NMPattern(2, 4)))
-    assert spmm_macs(c, batch=4) == 4 * 8 * 16 // 2
 
 
 def test_transposable_rejects_triple_column_group():
@@ -240,7 +233,7 @@ def test_transposable_rejects_triple_column_group():
          [1, 0, 1, 0],
          [0, 0, 1, 1]], np.uint8)
     assert all(bits.sum(axis=1) == 2)
-    assert not is_transposable(SparseMask(bits), NMPattern(2, 4))
+    assert not is_transposable(bits, NMPattern(2, 4))
 
 
 @settings(max_examples=40, deadline=None)
@@ -248,7 +241,7 @@ def test_transposable_rejects_triple_column_group():
 def test_is_transposable_matches_brute_count(seed):
     r = np.random.default_rng(seed)
     bits = (r.random((4, 8)) < 0.5).astype(np.uint8)
-    got = is_transposable(SparseMask(bits), NMPattern(2, 4))
+    got = is_transposable(bits, NMPattern(2, 4))
     rows_ok = all(
         bits[i, g * 4:(g + 1) * 4].sum() == 2
         for i in range(4) for g in range(2)
@@ -279,7 +272,7 @@ def test_make_transposable_hits_block_oracle(rng):
     w = Tensor(rng.standard_normal((8, 8)).astype(np.float32))
     mask = make_transposable(w, NMPattern(2, 4))
     assert is_transposable(mask, NMPattern(2, 4))
-    a = np.abs(w.data.astype(np.float64)) * mask.bits
+    a = np.abs(w.data.astype(np.float64)) * mask
     for bi in range(2):
         for bj in range(2):
             block = w.data[bi * 4:(bi + 1) * 4, bj * 4:(bj + 1) * 4]
@@ -292,7 +285,7 @@ def test_make_transposable_covers_dominant_subblocks():
     w[:2, :2] = 5.0
     w[2:, 2:] = 5.0
     mask = make_transposable(Tensor(w), NMPattern(2, 4))
-    assert mask.bits[:2, :2].all() and mask.bits[2:, 2:].all()
+    assert mask[:2, :2].all() and mask[2:, 2:].all()
 
 
 def test_make_transposable_always_valid(rng):
@@ -301,7 +294,7 @@ def test_make_transposable_always_valid(rng):
         w = Tensor(rng.standard_normal(shape).astype(np.float32))
         mask = make_transposable(w, NMPattern(2, 4))
         assert is_transposable(mask, NMPattern(2, 4))
-        assert mask.satisfies(NMPattern(2, 4))
+        assert satisfies(mask, NMPattern(2, 4))
 
 
 def test_make_transposable_rejects_non_24():
@@ -311,7 +304,7 @@ def test_make_transposable_rejects_non_24():
 
 def test_is_transposable_rejects_indivisible():
     with pytest.raises(PatternError):
-        is_transposable(SparseMask(np.ones((3, 4), np.uint8)), NMPattern(2, 4))
+        is_transposable(np.ones((3, 4), np.uint8), NMPattern(2, 4))
 
 
 def test_compressed_linear_forward_matches_masked(rng):

@@ -5,10 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sparsedm.diffusion import NoisePredictor, ToyDataset, make_schedule
+from sparsedm.diffusion import NoisePredictor, make_schedule
 from sparsedm.errors import ArchitectureError, ConfigError, PatternError, TrainingError
 from sparsedm.rng import stream
-from sparsedm.sparsity import NMPattern, SparseMask, is_transposable, project_mask
+from sparsedm.sparsity import NMPattern, is_transposable, project_mask, satisfies
 from sparsedm.tensor import Tensor
 from sparsedm.trainer import TrainConfig, prune_one_shot, ste_update, transfer_train
 
@@ -35,7 +35,7 @@ def test_ste_update_zero_grad_decay(rng):
     zero = Tensor(np.zeros_like(w0))
     lr, lam = 0.1, 0.05
     w = ste_update(Tensor(w0), zero, mask, lr, lam)
-    kept = mask.bits == 1
+    kept = mask == 1
     assert np.array_equal(w.data[kept], w0[kept])
     pruned = ~kept
     want = w0[pruned].astype(np.float64) * (1 - lr * lam)
@@ -49,7 +49,7 @@ def test_ste_update_kept_positions_match_unregularized(rng):
     mask = project_mask(Tensor(w0), NMPattern(1, 4))
     with_reg = ste_update(Tensor(w0), Tensor(g0), mask, 0.07, 0.3)
     without = ste_update(Tensor(w0), Tensor(g0), mask, 0.07, 0.0)
-    kept = mask.bits == 1
+    kept = mask == 1
     assert np.array_equal(with_reg.data[kept], without.data[kept])
     assert not np.array_equal(with_reg.data[~kept], without.data[~kept])
 
@@ -57,7 +57,7 @@ def test_ste_update_kept_positions_match_unregularized(rng):
 def test_ste_update_single_row_hand_values():
     w = Tensor(np.array([[1.0, -2.0, 0.5, 4.0]], np.float32))
     g = Tensor(np.array([[0.1, 0.2, -0.3, 0.4]], np.float32))
-    mask = SparseMask(np.array([[0, 1, 0, 1]], np.uint8))
+    mask = np.array([[0, 1, 0, 1]], np.uint8)
     lr, lam = 0.01, 0.5
     got = ste_update(w, g, mask, lr, lam).data
 
@@ -74,14 +74,14 @@ def test_ste_update_matches_closed_form_random(rng):
     lr, lam = 0.03, 0.02
     got = ste_update(Tensor(w0), Tensor(g0), mask, lr, lam).data
     w64 = w0.astype(np.float64)
-    want = w64 - lr * (g0.astype(np.float64) + lam * (w64 - w64 * mask.bits))
+    want = w64 - lr * (g0.astype(np.float64) + lam * (w64 - w64 * mask))
     assert np.abs(got.astype(np.float64) - want).max() <= 1e-6
 
 
 def test_ste_update_rejects_bad_args(rng):
     w = Tensor(rng.standard_normal((2, 4)).astype(np.float32))
     g = Tensor(np.zeros((2, 4), np.float32))
-    mask = SparseMask.ones((2, 4))
+    mask = np.ones((2, 4), np.uint8)
     with pytest.raises(ConfigError):
         ste_update(w, g, mask, 0.1, -1.0)
     with pytest.raises(Exception):
@@ -162,17 +162,17 @@ def test_prune_32_32_is_identity_mask():
     prune_one_shot(model, NMPattern(32, 32))
     for layer in model.layers:
         if layer.pattern is not None:
-            assert layer.mask.bits.all()
+            assert layer.mask.all()
 
 
 def test_prune_2_4_skips_first_layer_halves_rest():
     model = _model(hidden=(32, 32))
     prune_one_shot(model, NMPattern(2, 4))
     assert model.layers[0].pattern is None
-    assert model.layers[0].mask.bits.all()
+    assert model.layers[0].mask.all()
     for layer in model.layers[1:]:
         assert layer.pattern == NMPattern(2, 4)
-        assert (layer.mask.bits == 1).sum() == layer.weight.size // 2
+        assert (layer.mask == 1).sum() == layer.weight.size // 2
 
 
 def test_prune_strict_errors_on_skip():
@@ -196,7 +196,7 @@ def test_prune_transposable_masks_where_possible():
     assert is_transposable(model.layers[1].mask, NMPattern(2, 4))
     # final layer is 2x32: output dim not divisible, falls back to row projection
     assert model.layers[2].pattern == NMPattern(2, 4)
-    assert model.layers[2].mask.satisfies(NMPattern(2, 4))
+    assert satisfies(model.layers[2].mask, NMPattern(2, 4))
 
 
 def test_prune_weights_untouched():
@@ -211,7 +211,7 @@ def test_prune_weights_untouched():
 # ---------------------------------------------------------------------------
 
 def _train(model, sched, config):
-    return transfer_train(model, None, ToyDataset("gauss8"), sched, config)
+    return transfer_train(model, None, "gauss8", sched, config)
 
 
 def test_train_dense_zero_steps_noop():
@@ -274,14 +274,14 @@ def test_transfer_distill_loss_zero_when_student_is_teacher():
     sched = make_schedule(10, 1e-4, 0.02)
     config = TrainConfig(steps=3, lambda1=1.0, lambda2=0.0, lambda_w=0.0, lr=1e-9, seed=5,
                          schedule=(NMPattern(32, 32),))
-    _, trace = transfer_train(student, teacher, ToyDataset("gauss8"), sched, config)
+    _, trace = transfer_train(student, teacher, "gauss8", sched, config)
     assert trace[0]["loss_dense"] == 0.0
 
 
 def test_transfer_needs_teacher_for_distillation():
     config = TrainConfig(steps=2, lambda1=0.5, lambda2=0.5, schedule=(NMPattern(2, 4),))
     with pytest.raises(ConfigError):
-        transfer_train(_model(), None, ToyDataset("gauss8"), make_schedule(10, 1e-4, 0.02), config)
+        transfer_train(_model(), None, "gauss8", make_schedule(10, 1e-4, 0.02), config)
 
 
 def test_transfer_teacher_unchanged():
@@ -291,7 +291,7 @@ def test_transfer_teacher_unchanged():
     prune_one_shot(student, NMPattern(2, 4))
     sched = make_schedule(10, 1e-4, 0.02)
     config = TrainConfig(steps=10, lambda1=0.5, lambda2=0.5, seed=1, schedule=(NMPattern(2, 4),))
-    transfer_train(student, teacher, ToyDataset("gauss8"), sched, config)
+    transfer_train(student, teacher, "gauss8", sched, config)
     assert _checksum(teacher) == before
 
 
@@ -300,12 +300,12 @@ def test_transfer_masks_valid_after_run():
     student = teacher.copy()
     prune_one_shot(student, NMPattern(2, 4))
     sched = make_schedule(10, 1e-4, 0.02)
-    out, trace = transfer_train(student, teacher, ToyDataset("gauss8"), sched,
+    out, trace = transfer_train(student, teacher, "gauss8", sched,
                                 TrainConfig(steps=15, lambda1=0.5, lambda2=0.5, seed=2,
                                             schedule=(NMPattern(2, 4),)))
     for layer in out.layers:
         if layer.pattern is not None:
-            assert layer.mask.satisfies(NMPattern(2, 4))
+            assert satisfies(layer.mask, NMPattern(2, 4))
     assert all(r["active_pattern"] == "2:4" and r["sparsity"] == 0.5 for r in trace)
 
 
@@ -315,12 +315,12 @@ def test_transfer_progressive_ends_with_tight_masks():
     sched = make_schedule(10, 1e-4, 0.02)
     config = TrainConfig(steps=20, lambda1=0.0, lambda2=1.0, seed=4,
                          schedule=(NMPattern(3, 4), NMPattern(2, 4)), switch_every=10)
-    out, trace = transfer_train(student, teacher, ToyDataset("gauss8"), sched, config)
+    out, trace = transfer_train(student, teacher, "gauss8", sched, config)
     assert trace[0]["active_pattern"] == "3:4"
     assert trace[-1]["active_pattern"] == "2:4"
     for layer in out.layers:
         if layer.pattern is not None:
-            assert layer.mask.satisfies(NMPattern(2, 4))
+            assert satisfies(layer.mask, NMPattern(2, 4))
 
 
 def test_transfer_rejects_mismatched_schedule_and_arch():
@@ -329,11 +329,11 @@ def test_transfer_rejects_mismatched_schedule_and_arch():
     sched = make_schedule(10, 1e-4, 0.02)
     two = (NMPattern(3, 4), NMPattern(2, 4))
     with pytest.raises(ConfigError):
-        transfer_train(student, teacher, ToyDataset("gauss8"), sched,
+        transfer_train(student, teacher, "gauss8", sched,
                        TrainConfig(steps=5, schedule=two, switch_every=5))
     other = _model(0, hidden=(64,))
     with pytest.raises(ArchitectureError):
-        transfer_train(student, other, ToyDataset("gauss8"), sched,
+        transfer_train(student, other, "gauss8", sched,
                        TrainConfig(steps=5, schedule=two[1:]))
 
 
@@ -351,7 +351,7 @@ def test_transfer_reduces_to_vanilla_ste_short():
         student = teacher.copy()
         if pattern:
             prune_one_shot(student, pattern)
-        got, trace = transfer_train(student, teacher, ToyDataset("gauss8"), sched, config)
+        got, trace = transfer_train(student, teacher, "gauss8", sched, config)
 
         ref = teacher.copy()
         data_rng = stream(8, "data")
@@ -362,7 +362,7 @@ def test_transfer_reduces_to_vanilla_ste_short():
                 if pattern and layer.in_features % pattern.m == 0:
                     layer.mask = project_mask(layer.weight, pattern)
             lr = config.lr_at(step)
-            batch = toy_batch(ToyDataset("gauss8"), config.batch_size, data_rng)
+            batch = toy_batch("gauss8", config.batch_size, data_rng)
             tape = Tape()
             loss = diffusion_loss(tape, ref, batch, sched, noise_rng)
             losses.append(float(loss.data))
