@@ -9,6 +9,7 @@ MaskedLinear so sparse masks apply uniformly.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +90,14 @@ def time_embedding(t, T: int, dim: int = TEMB_DIM) -> np.ndarray:
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1).astype(np.float32)
 
 
+@functools.lru_cache(maxsize=8)
+def _temb_table(T: int, dim: int) -> np.ndarray:
+    """Read-only (T, dim) table whose row t is ``time_embedding(t, T, dim)``."""
+    table = time_embedding(np.arange(T), T, dim)
+    table.setflags(write=False)
+    return table
+
+
 @dataclass
 class NoisePredictor:
     """SiLU MLP predicting the noise from (x_t, time embedding)."""
@@ -118,8 +127,9 @@ class NoisePredictor:
         return tuple(layer.out_features for layer in self.layers[:-1])
 
     def forward(self, x: Tensor, t, n_steps: int, tape: Tape | None = None) -> Tensor:
-        t = np.broadcast_to(np.asarray(t, dtype=np.int64), (x.shape[0],))
-        temb = time_embedding(t, n_steps, self.temb_dim)
+        temb = _temb_table(n_steps, self.temb_dim)[_check_t(t, n_steps)]
+        # a scalar t picks one row, which broadcasts to the whole batch
+        temb = np.broadcast_to(temb, (x.shape[0], temb.shape[-1]))
         h = Tensor(np.concatenate([x.data, temb], axis=1))
         last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):

@@ -108,17 +108,21 @@ def sweep_ratios(
 ) -> list[dict]:
     """Prune + transfer-train one student per pattern; one fully isolated row each.
 
-    Rows come back sorted by pattern sparsity.  Each entry derives its seeds
-    from its own pattern, so the request order never changes a row.
+    Rows come back sorted by pattern sparsity, then group size m, which
+    orders any set of distinct patterns.  Each entry derives its seeds from
+    its own pattern, so the request order never changes a row or the output.
     """
     if not patterns:
         raise ConfigError("sweep needs at least one pattern")
+    if len(set(patterns)) != len(patterns):
+        twice = next(p for i, p in enumerate(patterns) if p in patterns[:i])
+        raise ConfigError(f"sweep pattern {twice} is listed more than once")
     config.validate()
     if n_eval < 2:
         raise ConfigError(f"n_eval must be >= 2, got {n_eval}")
     ref = toy_batch(dataset, n_eval, stream(config.seed, "eval")).data
-    rows = [_sweep_entry(p, teacher, dataset, sched, config, n_eval, ref) for p in patterns]
-    return sorted(rows, key=lambda r: r["sparsity"])
+    ordered = sorted(patterns, key=lambda p: (p.sparsity, p.m))
+    return [_sweep_entry(p, teacher, dataset, sched, config, n_eval, ref) for p in ordered]
 
 
 # ---------------------------------------------------------------------------

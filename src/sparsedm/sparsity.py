@@ -8,6 +8,7 @@ indices) and a matching multiply kernel that touches only kept weights.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -138,7 +139,7 @@ def masked_linear_forward(x: Tensor, layer: MaskedLinear | CompressedLinear, tap
 # 2:4 compressed storage and multiply
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Compressed24:
     """2:4 compressed weight: kept values plus packed 2-bit in-group indices.
 
@@ -161,8 +162,9 @@ class Compressed24:
         parts = np.stack([b & 3, (b >> 2) & 3, (b >> 4) & 3, (b >> 6) & 3], axis=1)
         return parts.reshape(-1)[:total].reshape(self.rows, self.cols // 2)
 
-    def to_csr(self) -> csr_matrix:
-        """Decode once into a float64 CSR holding exactly the rows*cols/2 kept values.
+    @functools.cached_property
+    def csr(self) -> csr_matrix:
+        """Float64 CSR holding exactly the rows*cols/2 kept values, decoded on first use.
 
         Each row stores its kept entries in column order, explicit zeros included.
         """
@@ -218,8 +220,9 @@ def spmm(c: Compressed24, x: Tensor) -> Tensor:
         raise DimensionError(f"spmm needs a 2-d input, got {x.shape}")
     if x.shape[1] != c.cols:
         raise DimensionError(f"input width {x.shape[1]} mismatches compressed cols {c.cols}")
-    x64 = x.data.astype(np.float64)
-    return Tensor((c.to_csr() @ x64.T).T)
+    # scipy multiplies a C-contiguous (cols, batch) operand without copying it again
+    xt = np.ascontiguousarray(x.data.T, dtype=np.float64)
+    return Tensor(np.ascontiguousarray((c.csr @ xt).T, dtype=np.float32))
 
 
 @dataclass(frozen=True)

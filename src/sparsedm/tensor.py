@@ -24,10 +24,18 @@ def _f64(a: np.ndarray) -> np.ndarray:
 
 def _sigmoid64(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) never overflows; per element this is 1/(1+exp(-x)) for x >= 0
-    # and exp(x)/(1+exp(x)) below zero
+    # and exp(x)/(1+exp(x)) below zero.  The numerator exp(min(x, 0)) is
+    # exactly 1 for x >= 0 and exactly exp(-|x|) below zero, with no select.
     x = _f64(x)
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    den = np.empty_like(x)
+    np.abs(x, out=den)
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    num = np.empty_like(x)
+    np.minimum(x, 0.0, out=num)
+    np.exp(num, out=num)
+    return np.divide(num, den, out=num)
 
 
 class Tensor:
@@ -123,18 +131,34 @@ def linear_ste(x: Tensor, w: Tensor, b: Tensor, w_eff: np.ndarray, tape: Tape | 
         raise DimensionError(f"effective weight {w_eff.shape} differs from weight {w.shape}")
     if x.shape[1] != w.shape[1] or b.shape[0] != w.shape[0]:
         raise DimensionError(f"linear shapes do not chain: {x.shape}, {w.shape}, {b.shape}")
-    out = (_f64(x.data) @ _f64(w_eff).T + _f64(b.data)).astype(np.float32)
+    out = _f64(x.data) @ _f64(w_eff).T
+    out += b.data
+    out = out.astype(np.float32)
     if tape is None:
         return Tensor(out)
     return tape._emit("linear_ste", (x, w, b), (x.data, w_eff), out)
 
 
+# elements per SiLU block: each float64 temporary of a block (256 KiB) stays in
+# cache, where whole-batch temporaries would each cost fresh pages per call
+SILU_BLOCK = 1 << 15
+
+
 def silu(x: Tensor, tape: Tape | None = None) -> Tensor:
-    sig = _sigmoid64(x.data)
-    out = (_f64(x.data) * sig).astype(np.float32)
+    flat = x.data.reshape(-1)
+    out = np.empty(flat.shape, np.float32)
+    sig = np.empty(flat.shape) if tape is not None else None
+    for s in range(0, flat.size, SILU_BLOCK):
+        x64 = _f64(flat[s : s + SILU_BLOCK])
+        sig_block = _sigmoid64(x64)
+        # the float64 product rounds to float32 as it is stored
+        np.multiply(x64, sig_block, out=out[s : s + SILU_BLOCK], casting="same_kind")
+        if sig is not None:
+            sig[s : s + SILU_BLOCK] = sig_block
+    out = out.reshape(x.shape)
     if tape is None:
         return Tensor(out)
-    return tape._emit("silu", (x,), (x.data, sig), out)
+    return tape._emit("silu", (x,), (x.data, sig.reshape(x.shape)), out)
 
 
 def mse_loss(pred: Tensor, target: Tensor, tape: Tape | None = None) -> Tensor:

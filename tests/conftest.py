@@ -38,6 +38,13 @@ def assert_close_rel(actual, expected, rel=1e-3, abs_tol=1e-5):
     assert err.max() <= rel, f"max rel err {err.max():.3e} at {np.unravel_index(err.argmax(), err.shape)}"
 
 
+def sigmoid64_reference(x) -> np.ndarray:
+    """The select-based logistic that ``tensor._sigmoid64`` must match bit for bit."""
+    x = np.asarray(x).astype(np.float64, copy=False)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def model_checksum(model) -> str:
     """Stable digest over all weights, biases, and masks."""
     h = hashlib.sha256()

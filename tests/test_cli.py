@@ -235,6 +235,18 @@ def test_sweep_csv(runs, tmp_path):
     assert lines[2].startswith("1:4,0.75,")
 
 
+@pytest.mark.parametrize("patterns", ["2:4,2:4", "2:4,1:4,02:4"])
+def test_sweep_refuses_repeated_pattern(runs, tmp_path, monkeypatch, capsys, patterns):
+    monkeypatch.setattr("sparsedm.evalbench._sweep_entry", _no_compute)
+    out = tmp_path / "sw"
+    rc = main(["sweep", "--out", str(out), "--ckpt", str(runs["dense"]), "--patterns", patterns,
+               "--steps", "2", "--teacher-bank", "16", "--n-eval", "16"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: sweep pattern 2:4 is listed more than once\n"
+    assert not out.exists()
+
+
 def test_rerun_is_byte_identical(runs, tmp_path):
     outputs = (CKPT_NAME, META_NAME, "trace.jsonl", "config.json")
     again = tmp_path / "again"

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from sparsedm.diffusion import (
+    TEMB_DIM,
     NoisePredictor,
+    _temb_table,
     ddpm_sample,
     diffusion_loss,
     make_schedule,
@@ -195,6 +197,28 @@ def test_predictor_forward_shape(rng):
     model = NoisePredictor.create(stream(0, "init"), hidden=(32,))
     out = model.forward(Tensor(rng.standard_normal((5, 2)).astype(np.float32)), 3, 10)
     assert out.shape == (5, 2)
+
+
+@pytest.mark.parametrize("T", [1, 10, 100, 1000])
+def test_temb_table_equals_per_batch_embedding(T):
+    table = _temb_table(T, TEMB_DIM)
+    assert table.shape == (T, TEMB_DIM) and table.dtype == np.float32
+    assert not table.flags.writeable
+    for t in range(T):
+        want = table[t].view(np.uint32)
+        for b in (1, 128, 2000, 2048):
+            rows = time_embedding(np.full(b, t), T, TEMB_DIM)
+            assert (rows.view(np.uint32) == want).all(), (t, b)
+
+
+@pytest.mark.parametrize("t", [-1, 10, [0, 3, 10, 1, 2], [0, -1, 1, 2, 3]])
+def test_predictor_forward_rejects_out_of_range_t(rng, t):
+    model = NoisePredictor.create(stream(0, "init"), hidden=(32,))
+    x = Tensor(rng.standard_normal((5, 2)).astype(np.float32))
+    with pytest.raises(IndexError):
+        model.forward(x, t, 10)
+    with pytest.raises(IndexError):
+        model.forward(x, t, 10, Tape())
 
 
 def test_create_rejects_indivisible_hidden():

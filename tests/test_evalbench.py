@@ -136,6 +136,12 @@ def test_sweep_deterministic_and_order_independent():
     a = sweep_ratios(teacher, [p24, p18], "gauss8", sched, config, n_eval=32)
     b = sweep_ratios(teacher, [p18, p24], "gauss8", sched, config, n_eval=32)
     assert a == b
+    # 2:4 and 4:8 share sparsity 0.5; the group size breaks the tie in either request order
+    p48 = NMPattern.parse("4:8")
+    c = sweep_ratios(teacher, [p24, p48], "gauss8", sched, config, n_eval=32)
+    d = sweep_ratios(teacher, [p48, p24], "gauss8", sched, config, n_eval=32)
+    assert [r["pattern"] for r in c] == ["2:4", "4:8"]
+    assert c == d
 
 
 def test_csv_headers_byte_exact(tmp_path):

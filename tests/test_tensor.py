@@ -2,11 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sparsedm.errors import DimensionError
 from sparsedm.tensor import (
+    SILU_BLOCK,
     Tape,
     Tensor,
     add,
@@ -15,9 +17,10 @@ from sparsedm.tensor import (
     mse_loss,
     scale,
     silu,
+    _sigmoid64,
 )
 
-from conftest import assert_close_rel, fd_grad
+from conftest import assert_close_rel, fd_grad, sigmoid64_reference
 
 
 def _linear(x, w, b, tape=None):
@@ -80,6 +83,54 @@ def test_bias_grad_sums_over_batch(rng):
 
 def test_silu_zero():
     assert silu(Tensor(np.array(0.0))).data == 0.0
+
+
+SIGMOID_EDGES = np.array([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+    1e-300, -1e-300, 36.8, -36.8, 709.8, -709.8, 745.2, -745.2, 746.0, -746.0,
+    1e308, -1e308, np.finfo(np.float64).max, -np.finfo(np.float64).max, np.inf, -np.inf,
+])
+
+
+@settings(max_examples=500)
+@example(x=SIGMOID_EDGES)
+@example(x=np.array(-0.0))
+@example(x=np.array(-800.0))
+@example(x=np.zeros((0,)))
+@example(x=np.zeros((3, 0)))
+@given(x=hnp.arrays(
+    st.sampled_from([np.float64, np.float32]),
+    hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=6),
+    elements={"allow_nan": False},
+))
+def test_sigmoid64_matches_select_reference_bitwise(x):
+    got, want = _sigmoid64(x), sigmoid64_reference(x)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_sigmoid64_nan_stays_nan():
+    x = np.concatenate([SIGMOID_EDGES, [np.nan, -np.nan, 1.0, np.nan]])
+    got, want = _sigmoid64(x), sigmoid64_reference(x)
+    nan = np.isnan(x)
+    # only the sign bit of a NaN may differ; a NaN already ends a run as diverged
+    assert np.isnan(got[nan]).all() and np.isnan(want[nan]).all()
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+    assert np.isnan(_sigmoid64(np.array(np.nan)))
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (3, 0), (1,), (SILU_BLOCK + 1,), (300, 128), (2000, 128)])
+def test_silu_blocks_match_whole_array_reference(rng, shape):
+    x = (rng.standard_normal(shape) * 8).astype(np.float32)
+    x64 = x.astype(np.float64)
+    sig = sigmoid64_reference(x64)
+    want = (x64 * sig).astype(np.float32)
+    assert silu(Tensor(x)).data.tobytes() == want.tobytes()
+    tape = Tape()
+    out = silu(tape.param("x", Tensor(x)), tape)
+    assert out.shape == shape and out.data.tobytes() == want.tobytes()
+    _op, _ids, (_x, taped_sig), _shape = tape.nodes[-1]
+    assert taped_sig.shape == shape and taped_sig.tobytes() == sig.tobytes()
 
 
 def test_silu_large_magnitude():
