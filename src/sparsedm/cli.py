@@ -64,7 +64,7 @@ OPTIONS = {
     "lambda1": Opt(float, "distillation loss weight"),
     "lambda2": Opt(float, "noise-prediction loss weight"),
     "lambda_w": Opt(float, "sparse-mask regularization strength"),
-    "teacher_bank": Opt(int, "teacher sample pool size"),
+    "teacher_bank": Opt(int, "teacher sample pool size; one pool per sweep"),
     "progressive": Opt(str, "comma list of patterns, densest first"),
     "switch_every": Opt(int, "steps between progressive switches"),
     "freeze_masks": Opt(bool, "project masks only at schedule switches"),
@@ -297,12 +297,18 @@ def _schedule(cfg: dict, student: NoisePredictor) -> tuple[NMPattern, ...]:
     return (recorded[0],)
 
 
+def _describe_schedule(sched) -> str:
+    # repr round-trips floats, so equal text means equal schedules
+    return f"T={sched.T}, beta_start={float(sched.beta[0])!r}, beta_end={float(sched.beta[-1])!r}"
+
+
 def cmd_train_sparse(args) -> int:
     cfg = _merge_config("train-sparse", args)
     student, sched, _ = ckpt.load_model(args.student)
     teacher, t_sched, _ = ckpt.load_model(args.teacher)
-    if t_sched.T != sched.T:
-        raise ConfigError(f"student schedule T={sched.T} differs from teacher T={t_sched.T}")
+    mine, theirs = _describe_schedule(sched), _describe_schedule(t_sched)
+    if mine != theirs:
+        raise ConfigError(f"student schedule ({mine}) differs from teacher schedule ({theirs})")
     config = _train_config(cfg, schedule=_schedule(cfg, student))
     student, trace = transfer_train(student, teacher, cfg["data"], sched, config)
     out = _echo_config(args, cfg)

@@ -81,12 +81,12 @@ def energy_distance(a, b) -> float:
 # ratio sweep
 # ---------------------------------------------------------------------------
 
-def _sweep_entry(pattern, teacher, dataset, sched, config, n_eval, ref):
+def _sweep_entry(pattern, teacher, dataset, sched, config, n_eval, ref, bank):
     # key the derived seed on the pattern itself so reordering the request
     # list cannot change any row
     entry_seed = derive_seed(config.seed, pattern.n, pattern.m)
     student = teacher.copy()
-    transfer_train(student, teacher, dataset, sched, replace(config, seed=entry_seed, schedule=(pattern,)))
+    transfer_train(student, teacher, dataset, sched, replace(config, seed=entry_seed, schedule=(pattern,)), bank=bank)
     samples = ddpm_sample(student, n_eval, sched, stream(entry_seed, "sample"))
     report = macs_count(student, (1,))
     return {
@@ -106,11 +106,14 @@ def sweep_ratios(
     config: TrainConfig,
     n_eval: int = 2000,
 ) -> list[dict]:
-    """Prune + transfer-train one student per pattern; one fully isolated row each.
+    """Prune + transfer-train one student per pattern; one row each.
 
-    Rows come back sorted by pattern sparsity, then group size m, which
-    orders any set of distinct patterns.  Each entry derives its seeds from
-    its own pattern, so the request order never changes a row or the output.
+    With ``lambda1 > 0`` every student distills from one teacher bank drawn
+    from the sweep seed, so rows differ by their pattern and not by the bank
+    draw.  Rows come back sorted by pattern sparsity, then group size m,
+    which orders any set of distinct patterns.  Each entry derives its other
+    seeds from its own pattern, so neither the request order nor the other
+    patterns in the sweep change a row.
     """
     if not patterns:
         raise ConfigError("sweep needs at least one pattern")
@@ -121,8 +124,11 @@ def sweep_ratios(
     if n_eval < 2:
         raise ConfigError(f"n_eval must be >= 2, got {n_eval}")
     ref = toy_batch(dataset, n_eval, stream(config.seed, "eval")).data
+    bank = None
+    if config.lambda1 > 0.0:
+        bank = ddpm_sample(teacher, config.teacher_bank, sched, stream(config.seed, "distill")).data
     ordered = sorted(patterns, key=lambda p: (p.sparsity, p.m))
-    return [_sweep_entry(p, teacher, dataset, sched, config, n_eval, ref) for p in ordered]
+    return [_sweep_entry(p, teacher, dataset, sched, config, n_eval, ref, bank) for p in ordered]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import NoisePredictor, NoiseSchedule, ddpm_sample, diffusion_loss, q_sample, toy_batch
+from .diffusion import DATA_DIM, NoisePredictor, NoiseSchedule, ddpm_sample, diffusion_loss, q_sample, toy_batch
 from .errors import ArchitectureError, ConfigError, DimensionError, PatternError, TrainingError
 from .rng import stream
 from .sparsity import MaskedLinear, NMPattern, is_transposable, make_transposable, project_mask
@@ -184,6 +184,8 @@ def transfer_train(
     dataset: str,
     sched: NoiseSchedule,
     config: TrainConfig,
+    *,
+    bank: np.ndarray | None = None,
 ) -> tuple[NoisePredictor, list[dict]]:
     """Train ``student`` under ``config``: dense, plain STE, progressive or with distillation.
 
@@ -195,8 +197,17 @@ def transfer_train(
     single pattern this is exactly the vanilla STE baseline; with an empty
     schedule it is plain dense SGD, which needs all-ones masks.  A student
     carrying a transposable 2:4 mask re-projects its 2:4 masks transposably.
+
+    ``bank`` is a teacher sample pool shared across runs, as a sweep shares
+    one; without it, a pool of ``teacher_bank`` samples is drawn from the
+    teacher first, on the same distill stream the batches then come from.
     """
     config.validate()
+    if bank is not None:
+        if bank.ndim != 2 or bank.shape[1] != DATA_DIM or len(bank) == 0:
+            raise ConfigError(f"teacher bank must be a non-empty (n, {DATA_DIM}) array, got shape {bank.shape}")
+        if not np.isfinite(bank).all():
+            raise ConfigError("teacher bank holds non-finite samples")
     if teacher is None:
         if config.lambda1 > 0.0:
             raise ConfigError(f"lambda1 = {config.lambda1} needs a teacher to distill from")
@@ -215,7 +226,8 @@ def transfer_train(
     use_distill = config.lambda1 > 0.0
     if use_distill:
         distill_rng = stream(config.seed, "distill")
-        bank = ddpm_sample(teacher, config.teacher_bank, sched, distill_rng).data
+        if bank is None:
+            bank = ddpm_sample(teacher, config.teacher_bank, sched, distill_rng).data
 
     trace: list[dict] = []
     for step in range(config.steps):

@@ -247,6 +247,25 @@ def test_sweep_refuses_repeated_pattern(runs, tmp_path, monkeypatch, capsys, pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags,named", [
+    (["--T", "9"], "T=9"),
+    (["--beta-end", "0.05"], "beta_end=0.05"),
+], ids=["T", "beta_end"])
+def test_train_sparse_refuses_teacher_with_other_schedule(runs, tmp_path, capsys, flags, named):
+    teacher = tmp_path / "teacher"
+    assert main(["train-dense", "--out", str(teacher), "--steps", "0", "--T", "8",
+                 "--hidden", "64,32", "--seed", "1"] + flags) == 0
+    capsys.readouterr()
+    out = tmp_path / "sparse"
+    rc = main(["train-sparse", "--out", str(out), "--student", str(runs["pruned"]),
+               "--teacher", str(teacher), "--steps", "2", "--teacher-bank", "16"])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: student schedule (T=8, ")
+    assert "beta_end=0.02" in lines[0] and named in lines[0]
+    assert not out.exists()
+
+
 def test_rerun_is_byte_identical(runs, tmp_path):
     outputs = (CKPT_NAME, META_NAME, "trace.jsonl", "config.json")
     again = tmp_path / "again"

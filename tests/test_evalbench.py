@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsedm.diffusion import NoisePredictor, make_schedule
+from sparsedm.diffusion import NoisePredictor, ddpm_sample, make_schedule
+from sparsedm.errors import ConfigError
 from sparsedm.evalbench import (
     DEFAULT_SWEEP_PATTERNS,
     SWEEP_HEADER,
@@ -130,18 +133,62 @@ def test_sweep_structure_small():
 def test_sweep_deterministic_and_order_independent():
     teacher = NoisePredictor.create(stream(2, "init"), hidden=(32,))
     sched = make_schedule(5, 1e-4, 0.02)
-    config = TrainConfig(steps=3, batch_size=16, lambda1=0.0, lambda2=1.0,
-                         teacher_bank=32, seed=2)
-    p24, p18 = NMPattern.parse("2:4"), NMPattern.parse("1:8")
-    a = sweep_ratios(teacher, [p24, p18], "gauss8", sched, config, n_eval=32)
-    b = sweep_ratios(teacher, [p18, p24], "gauss8", sched, config, n_eval=32)
-    assert a == b
-    # 2:4 and 4:8 share sparsity 0.5; the group size breaks the tie in either request order
-    p48 = NMPattern.parse("4:8")
-    c = sweep_ratios(teacher, [p24, p48], "gauss8", sched, config, n_eval=32)
-    d = sweep_ratios(teacher, [p48, p24], "gauss8", sched, config, n_eval=32)
-    assert [r["pattern"] for r in c] == ["2:4", "4:8"]
-    assert c == d
+    p24, p18, p48 = NMPattern.parse("2:4"), NMPattern.parse("1:8"), NMPattern.parse("4:8")
+    for lambda1 in (0.0, 0.5):  # 0.5 distills from the shared teacher bank
+        config = TrainConfig(steps=3, batch_size=16, lambda1=lambda1, lambda2=1.0 - lambda1,
+                             teacher_bank=32, seed=2)
+        a = sweep_ratios(teacher, [p24, p18], "gauss8", sched, config, n_eval=32)
+        b = sweep_ratios(teacher, [p18, p24], "gauss8", sched, config, n_eval=32)
+        assert a == b
+        # 2:4 and 4:8 share sparsity 0.5; the group size breaks the tie in either request order
+        c = sweep_ratios(teacher, [p24, p48], "gauss8", sched, config, n_eval=32)
+        d = sweep_ratios(teacher, [p48, p24], "gauss8", sched, config, n_eval=32)
+        assert [r["pattern"] for r in c] == ["2:4", "4:8"]
+        assert c == d
+
+
+def _small_sweep(lambda1):
+    teacher = NoisePredictor.create(stream(3, "init"), hidden=(32,))
+    config = TrainConfig(steps=2, batch_size=16, lambda1=lambda1, lambda2=1.0 - lambda1,
+                         teacher_bank=32, seed=3)
+    return teacher, make_schedule(5, 1e-4, 0.02), config
+
+
+@pytest.mark.parametrize("lambda1,banks", [(0.5, 1), (0.0, 0)])
+def test_sweep_samples_teacher_bank_once(monkeypatch, lambda1, banks):
+    teacher, sched, config = _small_sweep(lambda1)
+    seen = []
+
+    def counting(model, *args, **kwargs):
+        seen.append(model is teacher)
+        return ddpm_sample(model, *args, **kwargs)
+
+    monkeypatch.setattr("sparsedm.evalbench.ddpm_sample", counting)
+    monkeypatch.setattr("sparsedm.trainer.ddpm_sample", counting)
+    patterns = [NMPattern.parse(p) for p in ("2:4", "1:4", "1:8")]
+    sweep_ratios(teacher, patterns, "gauss8", sched, config, n_eval=16)
+    assert sum(seen) == banks
+    assert len(seen) - sum(seen) == len(patterns)  # one eval sample per student
+
+
+def test_sweep_row_does_not_depend_on_other_patterns():
+    teacher, sched, config = _small_sweep(0.5)
+    p24 = NMPattern.parse("2:4")
+    alone = sweep_ratios(teacher, [p24], "gauss8", sched, config, n_eval=16)
+    both = sweep_ratios(teacher, [NMPattern.parse("1:8"), p24], "gauss8", sched, config, n_eval=16)
+    assert alone == [r for r in both if r["pattern"] == "2:4"]
+
+
+@pytest.mark.parametrize("bank", [
+    np.zeros((8, 3)), np.zeros(8), np.zeros((0, 2)),
+    np.array([[0.0, 1.0], [np.nan, 0.0]]), np.array([[np.inf, 1.0]]),
+], ids=["three-columns", "one-d", "empty", "nan", "inf"])
+def test_transfer_train_rejects_bad_bank(bank):
+    teacher, sched, config = _small_sweep(0.5)
+    student = prune_one_shot(teacher.copy(), NMPattern(2, 4))
+    config = replace(config, schedule=(NMPattern(2, 4),))
+    with pytest.raises(ConfigError, match="teacher bank"):
+        transfer_train(student, teacher, "gauss8", sched, config, bank=bank)
 
 
 def test_csv_headers_byte_exact(tmp_path):
