@@ -161,14 +161,19 @@ def load_model(path) -> tuple[NoisePredictor, NoiseSchedule, dict]:
     except json.JSONDecodeError as e:
         raise ConfigError(f"{meta_path} is not valid JSON: {e}") from None
     _check_meta(meta, meta_path)
-    entries = {name: (kind, arr) for name, kind, arr in read_entries(ckpt_path)}
+    entries = {}
+    for name, kind, arr in read_entries(ckpt_path):
+        if name in entries:
+            raise ArchitectureError(f"{ckpt_path}: entry {name!r} appears more than once")
+        entries[name] = (kind, arr)
     layers = []
     for rec in meta["layers"]:
         name = rec["name"]
+        # popping reads each entry once: a layer listed twice finds none, and leftovers belong to no layer
         try:
-            (kw, w), (kb, b), (km, m) = (entries[f"{name}.{part}"] for part in ("weight", "bias", "mask"))
+            (kw, w), (kb, b), (km, m) = [entries.pop(f"{name}.{part}") for part in ("weight", "bias", "mask")]
         except KeyError as e:
-            raise ArchitectureError(f"checkpoint missing entry for layer {name}: {e}") from None
+            raise ArchitectureError(f"layer {name}: no unread entry {e}; missing, or the layer repeats") from None
         if (kw, kb, km) != (KIND_FLOAT, KIND_FLOAT, KIND_MASK):
             raise ConfigError(f"{ckpt_path}: layer {name} entries have kinds {(kw, kb, km)}, expected (0, 0, 1)")
         if w.ndim != 2 or m.shape != w.shape or b.shape != w.shape[:1]:
@@ -180,6 +185,8 @@ def load_model(path) -> tuple[NoisePredictor, NoiseSchedule, dict]:
         if not satisfies(m, pat or NMPattern(1, 1)):
             raise ConfigError(f"{ckpt_path}: layer {name} mask does not satisfy its recorded pattern {pat or 'dense'}")
         layers.append(MaskedLinear(name=name, weight=Tensor(w), bias=Tensor(b), mask=m, pattern=pat))
+    if entries:
+        raise ArchitectureError(f"{ckpt_path}: entries {sorted(entries)} belong to no layer in {meta_path.name}")
     model = NoisePredictor(layers=layers, temb_dim=meta["architecture"]["temb_dim"])
     widths = [DATA_DIM + model.temb_dim] + [l.out_features for l in layers]
     if [l.in_features for l in layers] != widths[:-1] or widths[-1] != DATA_DIM:

@@ -284,6 +284,8 @@ def cmd_prune(args) -> int:
 
 
 def _schedule(cfg: dict, student: NoisePredictor) -> tuple[NMPattern, ...]:
+    if cfg["progressive"] and cfg["pattern"]:
+        raise ConfigError(f"--pattern {cfg['pattern']} and --progressive {cfg['progressive']} exclude each other")
     if cfg["progressive"]:
         patterns = tuple(NMPattern.parse(p) for p in cfg["progressive"].split(",") if p)
         if not patterns:

@@ -2,13 +2,13 @@
 
 A pattern n:m keeps exactly n entries in every contiguous group of m weights
 along the input (column) axis of a weight matrix.  Projection is pure
-magnitude ranking per group.  The hardware-shaped 2:4 case additionally gets
-a compressed storage format (half the values plus packed 2-bit in-group
-indices) and a matching multiply kernel that touches only kept weights.
+magnitude ranking per group.  The hardware-shaped 2:4 case additionally
+compresses to a float64 CSR of the kept half of each weight: its multiply does
+half the dense MACs, though float64 values plus int32 column indices take more
+bytes than the dense float32 weight.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -141,48 +141,14 @@ def masked_linear_forward(x: Tensor, layer: MaskedLinear | CompressedLinear, tap
 
 @dataclass(frozen=True)
 class Compressed24:
-    """2:4 compressed weight: kept values plus packed 2-bit in-group indices.
+    """2:4 compressed weight: a float64 CSR holding exactly the rows*cols/2 kept entries.
 
-    ``values`` holds the two kept entries of each group of four, row-major by
-    (row, group, slot), so its length is rows*cols/2.  ``indices`` packs one
-    2-bit in-group position per kept value, four entries per byte, first
-    entry in the least significant bits, zero-padded to whole bytes.  The two
-    positions inside a group are strictly increasing.
+    Each row stores its kept entries in column order, explicit zeros included.
     """
 
     rows: int
     cols: int
-    values: np.ndarray
-    indices: np.ndarray
-
-    def ingroup_indices(self) -> np.ndarray:
-        """Unpack to an (rows, cols//2) array of in-group positions 0..3."""
-        total = self.rows * (self.cols // 2)
-        b = self.indices.astype(np.uint8)
-        parts = np.stack([b & 3, (b >> 2) & 3, (b >> 4) & 3, (b >> 6) & 3], axis=1)
-        return parts.reshape(-1)[:total].reshape(self.rows, self.cols // 2)
-
-    @functools.cached_property
-    def csr(self) -> csr_matrix:
-        """Float64 CSR holding exactly the rows*cols/2 kept values, decoded on first use.
-
-        Each row stores its kept entries in column order, explicit zeros included.
-        """
-        k = self.cols // 2
-        ig = self.ingroup_indices().reshape(self.rows, self.cols // 4, 2)
-        cols = ig + (np.arange(self.cols // 4, dtype=np.int64) * 4)[None, :, None]
-        indptr = np.arange(0, self.rows * k + 1, k)
-        return csr_matrix((self.values.astype(np.float64), cols.reshape(-1), indptr), shape=(self.rows, self.cols))
-
-
-def _pack_crumbs(u: np.ndarray) -> np.ndarray:
-    """Pack 2-bit values (flat uint8 array) four per byte, first in the low bits."""
-    u = u.astype(np.uint8).reshape(-1)
-    pad = (-len(u)) % 4
-    if pad:
-        u = np.concatenate([u, np.zeros(pad, dtype=np.uint8)])
-    q = u.reshape(-1, 4)
-    return (q[:, 0] | (q[:, 1] << 2) | (q[:, 2] << 4) | (q[:, 3] << 6)).astype(np.uint8)
+    csr: csr_matrix
 
 
 def compress_2_4(w: Tensor, mask: np.ndarray) -> Compressed24:
@@ -194,20 +160,16 @@ def compress_2_4(w: Tensor, mask: np.ndarray) -> Compressed24:
         raise PatternError(f"input width {cols} not divisible by 4")
     if mask.shape != w.shape:
         raise DimensionError(f"weight {w.shape} and mask {mask.shape} differ")
-    groups = w.data.reshape(rows, cols // 4, 4)
-    bits = mask.reshape(rows, cols // 4, 4)
-    counts = bits.sum(axis=2)
-    if not (counts == 2).all():
-        r, g = np.argwhere(counts != 2)[0]
-        raise CompressionError(f"mask group ({r},{g}) keeps {counts[r, g]} entries, need 2")
-    if (groups * (1 - bits)).any():
-        r, g = np.argwhere((groups * (1 - bits)).any(axis=2))[0]
-        raise CompressionError(f"nonzero weight outside mask in group ({r},{g})")
-    # a stable sort puts the two kept positions first, in column order
-    keep = np.argsort(1 - bits, axis=2, kind="stable")[:, :, :2]
-    values = np.take_along_axis(groups, keep, axis=2).reshape(-1).astype(np.float32)
-    indices = _pack_crumbs(keep.reshape(-1))
-    return Compressed24(rows=rows, cols=cols, values=values, indices=indices)
+    if not satisfies(mask, NMPattern(2, 4)):
+        raise CompressionError("mask does not keep exactly 2 of every 4 entries")
+    outside = np.argwhere(w.data * (1 - mask))
+    if len(outside):
+        r, c = outside[0]
+        raise CompressionError(f"nonzero weight outside mask in group ({r},{c // 4})")
+    kept = mask != 0
+    indptr = np.arange(0, rows * cols // 2 + 1, cols // 2)
+    csr = csr_matrix((w.data[kept].astype(np.float64), np.nonzero(kept)[1], indptr), shape=(rows, cols))
+    return Compressed24(rows=rows, cols=cols, csr=csr)
 
 
 def spmm(c: Compressed24, x: Tensor) -> Tensor:

@@ -15,6 +15,7 @@ from sparsedm.checkpoint import (
     save_model,
     write_entries,
 )
+from sparsedm.cli import main
 from sparsedm.diffusion import NoisePredictor, make_schedule
 from sparsedm.errors import ArchitectureError, ConfigError
 from sparsedm.sparsity import NMPattern
@@ -155,6 +156,33 @@ def test_meta_layer_without_tensor_entries(tmp_path):
     (tmp_path / META_NAME).write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     with pytest.raises(ArchitectureError, match="ghost"):
         load_model(tmp_path)
+
+
+# each damage chains into a working model unless every entry is read exactly once
+@pytest.mark.parametrize("damage", ["layer-dropped", "layer-repeated", "entry-repeated"])
+def test_checkpoint_entries_are_each_read_once(tmp_path, capsys, damage):
+    model = NoisePredictor.create(np.random.default_rng(0), hidden=(64, 64, 64))
+    src = tmp_path / "src"
+    save_model(src, model, make_schedule(10, 1e-4, 0.02), seed=0)
+    meta = json.loads((src / META_NAME).read_text())
+    entries = read_entries(src / CKPT_NAME)
+    if damage == "layer-dropped":
+        meta["layers"] = [rec for rec in meta["layers"] if rec["name"] != "fc3"]
+    elif damage == "layer-repeated":
+        meta["layers"].insert(2, {"name": "fc2", "pattern": None})
+    else:
+        entries.append(("fc2.weight", KIND_FLOAT, np.zeros((64, 64), np.float32)))
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    write_entries(bad / CKPT_NAME, entries)
+    (bad / META_NAME).write_text(json.dumps(meta))
+    with pytest.raises(ArchitectureError):
+        load_model(bad)
+    capsys.readouterr()
+    assert main(["sample", "--out", str(tmp_path / "s"), "--ckpt", str(bad), "--n", "4"]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "s").exists()
 
 
 def test_model_checksum_tracks_changes():

@@ -247,22 +247,30 @@ def test_sweep_refuses_repeated_pattern(runs, tmp_path, monkeypatch, capsys, pat
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags,named", [
-    (["--T", "9"], "T=9"),
-    (["--beta-end", "0.05"], "beta_end=0.05"),
-], ids=["T", "beta_end"])
-def test_train_sparse_refuses_teacher_with_other_schedule(runs, tmp_path, capsys, flags, named):
-    teacher = tmp_path / "teacher"
-    assert main(["train-dense", "--out", str(teacher), "--steps", "0", "--T", "8",
-                 "--hidden", "64,32", "--seed", "1"] + flags) == 0
+@pytest.mark.parametrize("teacher_flags,options,named", [
+    (["--T", "9"], [], ["error: student schedule (T=8, ", "beta_end=0.02", "T=9"]),
+    (["--beta-end", "0.05"], [], ["error: student schedule (T=8, ", "beta_end=0.02", "beta_end=0.05"]),
+    (None, ["--pattern", "1:4", "--progressive", "4:4,2:4"], ["--pattern 1:4", "--progressive 4:4,2:4"]),
+    (None, {"pattern": "1:4", "progressive": "4:4,2:4"}, ["--pattern 1:4", "--progressive 4:4,2:4"]),
+], ids=["T", "beta_end", "pattern-and-progressive-flags", "pattern-and-progressive-config"])
+def test_train_sparse_refusals(runs, tmp_path, capsys, teacher_flags, options, named):
+    """A teacher on another noise schedule, or a fixed and a progressive pattern at once, exit 2 unwritten."""
+    teacher = runs["dense"]
+    if teacher_flags:
+        teacher = tmp_path / "teacher"
+        assert main(["train-dense", "--out", str(teacher), "--steps", "0", "--T", "8",
+                     "--hidden", "64,32", "--seed", "1"] + teacher_flags) == 0
+    if isinstance(options, dict):
+        (tmp_path / "cfg.json").write_text(json.dumps(options))
+        options = ["--config", str(tmp_path / "cfg.json")]
     capsys.readouterr()
     out = tmp_path / "sparse"
     rc = main(["train-sparse", "--out", str(out), "--student", str(runs["pruned"]),
-               "--teacher", str(teacher), "--steps", "2", "--teacher-bank", "16"])
+               "--teacher", str(teacher), "--steps", "2", "--teacher-bank", "16"] + options)
     assert rc == 2
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: student schedule (T=8, ")
-    assert "beta_end=0.02" in lines[0] and named in lines[0]
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert all(part in lines[0] for part in named), lines[0]
     assert not out.exists()
 
 

@@ -5,8 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-import sparsedm.cli  # noqa: F401  imports every module the tracer hooks
 from sparsedm import sparsity
+from sparsedm.cli import main  # imports every module the tracer hooks
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -29,11 +29,13 @@ def test_sweep_and_pipeline_scripts(tmp_path):
         assert (tmp_path / "pipe" / f"eval-{name}" / "report.json").exists()
 
 
-def test_benchmark_tracer_finds_its_hooks():
+def test_benchmark_tracer_finds_its_hooks(tmp_path):
     """A rename in src/ must not silently drop the benchmark's per-layer rows or its selftest's calls."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     tracer_mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_mod)
+    assert main(["train-dense", "--out", str(tmp_path / "d"), "--steps", "0", "--T", "4", "--hidden", "32"]) == 0
+    assert main(["prune", "--out", str(tmp_path / "p"), "--ckpt", str(tmp_path / "d")]) == 0
     original = sparsity.project_mask
     tracer = tracer_mod.Tracer()
     tracer.install()
@@ -41,6 +43,11 @@ def test_benchmark_tracer_finds_its_hooks():
         assert sparsity.project_mask is not original
         # these two hooks name functions an earlier training loop had
         assert set(tracer.missing) <= {"trainer.train_dense", "trainer._refresh_masks"}
+        # the spmm counters read Compressed24.rows and .cols
+        assert main(["sample", "--out", str(tmp_path / "s"), "--ckpt", str(tmp_path / "p"),
+                     "--n", "4", "--compressed"]) == 0
     finally:
         tracer.uninstall()
     assert sparsity.project_mask is original
+    macs = tracer.counts["sparsity.spmm.macs"]
+    assert macs > 0 and 2 * macs == tracer.counts["sparsity.spmm.dense_macs"]

@@ -158,18 +158,19 @@ def test_ste_weight_grad_matches_fd_at_effective_weight(rng):
 
 def test_compress_known_row():
     w = Tensor(np.array([[0.0, 5.0, 0.0, 7.0]], np.float32))
-    c = compress_2_4(w, np.array([[0, 1, 0, 1]], np.uint8))
-    assert np.array_equal(c.values, np.array([5.0, 7.0], np.float32))
-    assert np.array_equal(c.ingroup_indices(), np.array([[1, 3]], np.uint8))
-    assert c.indices.tobytes() == bytes([0b1101])
+    csr = compress_2_4(w, np.array([[0, 1, 0, 1]], np.uint8)).csr
+    assert csr.data.dtype == np.float64 and np.array_equal(csr.data, [5.0, 7.0])
+    assert np.array_equal(csr.indices, [1, 3])
+    assert np.array_equal(csr.indptr, [0, 2])
 
 
 def test_compress_zero_values_uses_mask_positions():
     w = Tensor(np.zeros((1, 4), np.float32))
     mask = np.array([[1, 0, 0, 1]], np.uint8)
-    c = compress_2_4(w, mask)
-    assert np.array_equal(c.values, np.zeros(2, np.float32))
-    assert np.array_equal(c.ingroup_indices(), np.array([[0, 3]], np.uint8))
+    csr = compress_2_4(w, mask).csr
+    assert csr.nnz == 2 and np.array_equal(csr.data, np.zeros(2))
+    assert np.array_equal(csr.indices, [0, 3])
+    assert np.array_equal(csr.indptr, [0, 2])
 
 
 def test_compress_roundtrip_random(rng):
