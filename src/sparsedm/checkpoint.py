@@ -194,6 +194,9 @@ def load_model(path) -> tuple[NoisePredictor, NoiseSchedule, dict]:
             f"layer shapes {[l.weight.shape for l in layers]} do not chain from input "
             f"{DATA_DIM + model.temb_dim} to output {DATA_DIM}"
         )
+    arch = {"data_dim": DATA_DIM, "temb_dim": model.temb_dim, "hidden": list(model.hidden)}
+    if meta["architecture"] != arch:
+        raise ArchitectureError(f"{meta_path}: architecture {meta['architecture']} does not describe the layers, {arch}")
     s = meta["schedule"]
     sched = make_schedule(s["T"], float(s["beta_start"]), float(s["beta_end"]))
     return model, sched, meta

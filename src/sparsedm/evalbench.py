@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .diffusion import NoisePredictor, NoiseSchedule, ddpm_sample, toy_batch
 from .errors import ConfigError
@@ -61,6 +60,10 @@ def _points(x) -> np.ndarray:
 
 
 def _mean_pairwise(a: np.ndarray, b: np.ndarray) -> float:
+    # imported here, not at module level: scipy.spatial costs about 0.2 s to
+    # import, and only eval and sweep reach this function
+    from scipy.spatial.distance import cdist
+
     # chunk the larger side so the distance matrix stays memory-bounded
     total = 0.0
     chunk = max(1, (1 << 22) // max(1, len(b)))

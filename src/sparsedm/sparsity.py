@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import CompressionError, DimensionError, PatternError
 from .tensor import Tape, Tensor, linear_ste
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 
 @dataclass(frozen=True)
@@ -166,6 +169,10 @@ def compress_2_4(w: Tensor, mask: np.ndarray) -> Compressed24:
     if len(outside):
         r, c = outside[0]
         raise CompressionError(f"nonzero weight outside mask in group ({r},{c // 4})")
+    # imported here, not at module level: scipy.sparse costs about 0.2 s to
+    # import, and only the compressed sampling path reaches this function
+    from scipy.sparse import csr_matrix
+
     kept = mask != 0
     indptr = np.arange(0, rows * cols // 2 + 1, cols // 2)
     csr = csr_matrix((w.data[kept].astype(np.float64), np.nonzero(kept)[1], indptr), shape=(rows, cols))

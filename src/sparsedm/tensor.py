@@ -219,7 +219,9 @@ def backward(tape: Tape, loss: Tensor) -> dict[ParamId, Tensor]:
             continue
         if op == "linear_ste":
             x, w_eff = aux
-            acc(ids[0], g @ _f64(w_eff))
+            # an input made off the tape (fc1's) takes no gradient, so skip its product
+            if ids[0] >= 0:
+                acc(ids[0], g @ _f64(w_eff))
             acc(ids[1], g.T @ _f64(x))
             acc(ids[2], g.sum(axis=0))
         elif op == "silu":
@@ -229,7 +231,9 @@ def backward(tape: Tape, loss: Tensor) -> dict[ParamId, Tensor]:
             p, t = aux
             d = (2.0 / p.size) * (_f64(p) - _f64(t))
             acc(ids[0], g * d)
-            acc(ids[1], -(g * d))
+            # the target (eps or a teacher prediction) is usually off the tape
+            if ids[1] >= 0:
+                acc(ids[1], -(g * d))
         elif op == "add":
             acc(ids[0], g)
             acc(ids[1], g)

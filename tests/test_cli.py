@@ -532,7 +532,9 @@ def _set_pattern(meta, layer, pattern):
     next(rec for rec in meta["layers"] if rec["name"] == layer)["pattern"] = pattern
 
 
-@pytest.mark.parametrize("damage", ["mask-shape", "bias-length", "no-chain", "input-width", "output-width"])
+@pytest.mark.parametrize(
+    "damage", ["mask-shape", "bias-length", "no-chain", "input-width", "output-width", "sidecar-architecture"]
+)
 def test_inconsistent_layer_shapes_exit_4(runs, tmp_path, capsys, damage):
     def edit(entries, meta):
         if damage == "mask-shape":
@@ -543,14 +545,18 @@ def test_inconsistent_layer_shapes_exit_4(runs, tmp_path, capsys, damage):
             _resize_rows(entries, "fc2", 28)  # fc3 still reads 32
         elif damage == "input-width":
             meta["architecture"]["temb_dim"] = 32
+        elif damage == "sidecar-architecture":
+            # the layers still chain; only the sidecar's description of them is wrong
+            meta["architecture"].update(hidden=[7], data_dim=5)
         else:
             _resize_rows(entries, "fc3", 3)
 
     bad = _damaged_copy(runs["pruned"], tmp_path / "bad", edit)
     capsys.readouterr()
     assert main(["sample", "--out", str(tmp_path / "s"), "--ckpt", str(bad), "--n", "4"]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not (tmp_path / "s").exists()
 
 
 @pytest.mark.parametrize("argv", [["sample", "--compressed"], ["eval"]], ids=["sample", "eval"])

@@ -1,4 +1,5 @@
-"""The driver scripts run end to end on a tiny budget, and the benchmark's tracer finds its hooks."""
+"""The driver scripts run end to end on a tiny budget, the benchmark's tracer finds its hooks, and a
+fresh CLI process imports scipy only for the commands that use it."""
 import importlib.util
 import os
 import subprocess
@@ -11,12 +12,16 @@ from sparsedm.cli import main  # imports every module the tracer hooks
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run_script(name, args, cwd):
+def _run_python(args, cwd):
+    """Run a fresh interpreter with src/ importable; it must exit 0."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
-                          cwd=cwd, env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def _run_script(name, args, cwd):
+    _run_python([str(ROOT / "scripts" / name), *args], cwd)
 
 
 def test_sweep_and_pipeline_scripts(tmp_path):
@@ -51,3 +56,28 @@ def test_benchmark_tracer_finds_its_hooks(tmp_path):
     assert sparsity.project_mask is original
     macs = tracer.counts["sparsity.spmm.macs"]
     assert macs > 0 and 2 * macs == tracer.counts["sparsity.spmm.dense_macs"]
+
+
+# runs in a fresh interpreter, because this one already has scipy loaded
+COLD_CLI = """
+import sys
+from sparsedm.cli import main
+
+def run(*argv):
+    assert main(list(argv)) == 0, argv
+
+run("train-dense", "--out", "d", "--steps", "2", "--batch-size", "8", "--T", "4", "--hidden", "32")
+run("prune", "--out", "p", "--ckpt", "d")
+run("train-sparse", "--out", "s", "--student", "p", "--teacher", "d", "--steps", "2", "--batch-size", "8",
+    "--teacher-bank", "16")
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+assert not loaded, f"training loaded {loaded[:5]}"
+run("sample", "--out", "c", "--ckpt", "s", "--n", "8", "--compressed")
+run("eval", "--out", "e", "--ckpt", "s", "--n", "16")
+"""
+
+
+def test_training_never_imports_scipy(tmp_path):
+    """train-dense, prune and train-sparse start without scipy; sample --compressed and eval load it themselves."""
+    _run_python(["-c", COLD_CLI], tmp_path)
+    assert (tmp_path / "c" / "samples.csv").exists() and (tmp_path / "e" / "report.json").exists()
