@@ -9,8 +9,12 @@ MaskedLinear so sparse masks apply uniformly.
 """
 from __future__ import annotations
 
+import contextlib
+import copy
 import functools
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -163,6 +167,81 @@ def inference_forward(model: NoisePredictor, n_steps: int, compressed: bool = Fa
     return fwd
 
 
+# rows below which a sampling chunk does not pay for its thread
+SAMPLE_CHUNK_ROWS = 256
+
+
+def _reverse_chain(fwd, sched: NoiseSchedule, rng: np.random.Generator, n: int, lo: int, hi: int) -> np.ndarray:
+    """Rows [lo, hi) of an n-row ancestral sample; every draw is the whole (n, 2) one, sliced.
+
+    A row's forward does not depend on the other rows of its batch, so any
+    split of [0, n) into chunks concatenates to the one-chunk sample.
+    """
+    x = rng.standard_normal((n, DATA_DIM))[lo:hi].astype(np.float32)
+    for t in range(sched.T - 1, -1, -1):
+        eps_hat = fwd(x, t)
+        mu = posterior_mean(Tensor(x), Tensor(eps_hat), t, sched).data
+        if t > 0:
+            z = rng.standard_normal((n, DATA_DIM))[lo:hi]
+            x = (mu.astype(np.float64) + np.sqrt(sched.beta[t]) * z).astype(np.float32)
+        else:
+            x = mu
+    return x
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS numpy loaded, or None when none is found."""
+    import ctypes
+
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get, put = getattr(handle, name.format("get"), None), getattr(handle, name.format("set"), None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS to one thread inside the block; a product's bytes never depend on its count."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    saved = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(saved)
+
+
+def _sample_chunks(fwd, sched: NoiseSchedule, rng: np.random.Generator, n: int, w: int) -> np.ndarray:
+    """Run w contiguous row chunks of the reverse chain at once, one per thread.
+
+    Chunk 0 runs here on the caller's generator, which ends where the
+    one-chunk loop leaves it; every other chunk replays the same draws from
+    a copy.  OpenBLAS is held to one thread, because its own helper threads
+    would take the cores the chunks need.
+    """
+    import contextvars
+    from concurrent.futures import ThreadPoolExecutor
+
+    edges = [n * i // w for i in range(w + 1)]
+    with _one_blas_thread(), ThreadPoolExecutor(w - 1) as pool:
+        # the copies are taken before chunk 0 advances the caller's generator;
+        # each worker runs in a copy of this context, so np.errstate carries over
+        rest = [pool.submit(contextvars.copy_context().run, _reverse_chain, fwd, sched, copy.deepcopy(rng), n, lo, hi)
+                for lo, hi in zip(edges[1:-1], edges[2:])]
+        first = _reverse_chain(fwd, sched, rng, n, 0, edges[1])
+        return np.concatenate([first, *(f.result() for f in rest)])
+
+
 def ddpm_sample(
     model: NoisePredictor,
     n: int,
@@ -172,20 +251,17 @@ def ddpm_sample(
 ) -> Tensor:
     """Ancestral sampling from pure noise; deterministic given the generator state.
 
+    The rows split into one chunk per usable CPU, at least ``SAMPLE_CHUNK_ROWS``
+    rows each, and the chunks run on their own threads.  The samples and the
+    generator's state afterwards do not depend on the number of chunks.
     Non-finite samples raise ``TrainingError``, as a diverged training loss does.
     """
     if n < 0:
         raise ConfigError(f"sample count must be >= 0, got {n}")
     fwd = inference_forward(model, sched.T, compressed)
-    x = rng.standard_normal((n, DATA_DIM)).astype(np.float32)
-    for t in range(sched.T - 1, -1, -1):
-        eps_hat = fwd(x, t)
-        mu = posterior_mean(Tensor(x), Tensor(eps_hat), t, sched).data
-        if t > 0:
-            z = rng.standard_normal((n, DATA_DIM))
-            x = (mu.astype(np.float64) + np.sqrt(sched.beta[t]) * z).astype(np.float32)
-        else:
-            x = mu
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    w = max(1, min(cpus, n // SAMPLE_CHUNK_ROWS))
+    x = _reverse_chain(fwd, sched, rng, n, 0, n) if w == 1 else _sample_chunks(fwd, sched, rng, n, w)
     if not np.isfinite(x).all():
         raise TrainingError(f"sampling diverged: {np.count_nonzero(~np.isfinite(x))} non-finite coordinates")
     return Tensor(x)

@@ -72,19 +72,24 @@ def _mean_pairwise(a: np.ndarray, b: np.ndarray) -> float:
     return total / (len(a) * len(b))
 
 
-def energy_distance(a, b) -> float:
-    """``2 E|A-B| - E|A-A'| - E|B-B'|`` over exact pairwise Euclidean distances."""
+def energy_distance(a, b, b_self: float | None = None) -> float:
+    """``2 E|A-B| - E|A-A'| - E|B-B'|`` over exact pairwise Euclidean distances.
+
+    ``b_self`` is E|B-B'| when the caller already has it, as a sweep does for
+    the one reference set all its entries share.
+    """
     pa, pb = _points(a), _points(b)
     if pa.shape[1] != pb.shape[1]:
         raise ValueError(f"point dimensions differ: {pa.shape[1]} vs {pb.shape[1]}")
-    return 2.0 * _mean_pairwise(pa, pb) - _mean_pairwise(pa, pa) - _mean_pairwise(pb, pb)
+    m_bb = _mean_pairwise(pb, pb) if b_self is None else b_self
+    return 2.0 * _mean_pairwise(pa, pb) - _mean_pairwise(pa, pa) - m_bb
 
 
 # ---------------------------------------------------------------------------
 # ratio sweep
 # ---------------------------------------------------------------------------
 
-def _sweep_entry(pattern, teacher, dataset, sched, config, n_eval, ref, bank):
+def _sweep_entry(pattern, teacher, dataset, sched, config, n_eval, ref, ref_self, bank):
     # key the derived seed on the pattern itself so reordering the request
     # list cannot change any row
     entry_seed = derive_seed(config.seed, pattern.n, pattern.m)
@@ -97,7 +102,7 @@ def _sweep_entry(pattern, teacher, dataset, sched, config, n_eval, ref, bank):
         "sparsity": pattern.sparsity,
         "macs_sparse": report.sparse_total,
         "macs_dense": report.dense_total,
-        "energy_distance": energy_distance(samples.data, ref),
+        "energy_distance": energy_distance(samples.data, ref, ref_self),
     }
 
 
@@ -126,12 +131,13 @@ def sweep_ratios(
     config.validate()
     if n_eval < 2:
         raise ConfigError(f"n_eval must be >= 2, got {n_eval}")
-    ref = toy_batch(dataset, n_eval, stream(config.seed, "eval")).data
+    ref = _points(toy_batch(dataset, n_eval, stream(config.seed, "eval")).data)
+    ref_self = _mean_pairwise(ref, ref)
     bank = None
     if config.lambda1 > 0.0:
         bank = ddpm_sample(teacher, config.teacher_bank, sched, stream(config.seed, "distill")).data
     ordered = sorted(patterns, key=lambda p: (p.sparsity, p.m))
-    return [_sweep_entry(p, teacher, dataset, sched, config, n_eval, ref, bank) for p in ordered]
+    return [_sweep_entry(p, teacher, dataset, sched, config, n_eval, ref, ref_self, bank) for p in ordered]
 
 
 # ---------------------------------------------------------------------------

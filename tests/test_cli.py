@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import tempfile
 import warnings
 from pathlib import Path
@@ -582,10 +583,13 @@ def _blow_up(entries, meta):
 
 @pytest.mark.parametrize("argv", [
     ["sample", "--n", "8"],
+    ["sample", "--n", "600"],
     ["eval", "--n", "8"],
     ["sweep", "--patterns", "2:4", "--steps", "2", "--teacher-bank", "16", "--n-eval", "16"],
-], ids=["sample", "eval", "sweep"])
-def test_non_finite_samples_exit_1(runs, tmp_path, capsys, argv):
+], ids=["sample", "sample-chunks", "eval", "sweep"])
+def test_non_finite_samples_exit_1(runs, tmp_path, capsys, monkeypatch, argv):
+    # two CPUs, so 600 rows sample in two chunks on two threads
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     bad = _damaged_copy(runs["dense"], tmp_path / "bad", _blow_up)
     capsys.readouterr()
     assert main(argv + ["--out", str(tmp_path / "x"), "--ckpt", str(bad)]) == 1
@@ -595,18 +599,21 @@ def test_non_finite_samples_exit_1(runs, tmp_path, capsys, argv):
     assert not (tmp_path / "x").exists()
 
 
-def test_divergence_raises_no_numpy_warning(runs, tmp_path, capsys):
+def test_divergence_raises_no_numpy_warning(runs, tmp_path, capsys, monkeypatch):
+    # 600 rows on two CPUs sample in two chunks: the worker thread must ignore overflow too
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     bad = _damaged_copy(runs["dense"], tmp_path / "bad", _blow_up)
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["sample", "--out", str(tmp_path / "s"), "--ckpt", str(bad), "--n", "8"]) == 1
+        assert main(["sample", "--out", str(tmp_path / "c"), "--ckpt", str(bad), "--n", "600"]) == 1
         assert main(["train-dense", "--out", str(tmp_path / "d"), "--lr", "1000", "--T", "8",
                      "--hidden", "32"]) == 1
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 2 and all(line.startswith("error: ") for line in lines)
+    assert len(lines) == 3 and all(line.startswith("error: ") for line in lines)
     # a diverged run writes no output directory, not even config.json
-    assert not (tmp_path / "s").exists() and not (tmp_path / "d").exists()
+    assert not any((tmp_path / name).exists() for name in ("s", "c", "d"))
 
 
 @pytest.mark.parametrize("cmd", [["prune"], ["sample", "--n", "4"]], ids=["prune", "sample"])

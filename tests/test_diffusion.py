@@ -1,8 +1,12 @@
 import math
+import os
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sparsedm import diffusion
 from sparsedm.diffusion import (
     TEMB_DIM,
     NoisePredictor,
@@ -15,13 +19,13 @@ from sparsedm.diffusion import (
     time_embedding,
     toy_batch,
 )
-from sparsedm.errors import ArchitectureError, CompressedPathError, ConfigError
+from sparsedm.errors import ArchitectureError, CompressedPathError, ConfigError, DimensionError
 from sparsedm.sparsity import MaskedLinear, NMPattern
 from sparsedm.trainer import prune_one_shot
 from sparsedm.tensor import Tape, Tensor, backward
 from sparsedm.rng import stream
 
-from conftest import assert_close_rel, fd_grad
+from conftest import assert_close_rel, ddpm_sample_reference, fd_grad
 
 
 def test_single_step_schedule():
@@ -248,6 +252,70 @@ def test_compressed_sampling_needs_24_model(pattern):
         prune_one_shot(model, pattern)
     with pytest.raises(CompressedPathError):
         ddpm_sample(model, 4, make_schedule(5), stream(0, "sample"), compressed=True)
+
+
+def _pin_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+@pytest.mark.parametrize("kind", ["dense", "2:4", "compressed"])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_sampler_matches_serial_reference(monkeypatch, cpus, kind):
+    """Row chunks on threads give the one-chunk loop's bytes and leave the generator where it leaves it."""
+    model = NoisePredictor.create(stream(2, "init"), hidden=(32, 32))
+    if kind != "dense":
+        prune_one_shot(model, NMPattern(2, 4))
+    s = make_schedule(4, 1e-4, 0.02)
+    chunks = []  # rows of each chunk's posterior_mean calls
+
+    def recording(x_t, *args):
+        chunks.append(len(x_t.data))
+        return posterior_mean(x_t, *args)
+
+    _pin_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(diffusion, "posterior_mean", recording)
+    for n in (0, 1, 255, 511, 512, 513, 1025, 2000, 2049):
+        chunks.clear()
+        rng, ref_rng = stream(n, "sample"), stream(n, "sample")
+        out = ddpm_sample(model, n, s, rng, compressed=kind == "compressed").data
+        ref = ddpm_sample_reference(model, n, s, ref_rng, compressed=kind == "compressed").data
+        assert out.dtype == ref.dtype and out.shape == ref.shape == (n, 2)
+        assert out.tobytes() == ref.tobytes(), n
+        assert rng.standard_normal(3).tobytes() == ref_rng.standard_normal(3).tobytes(), n
+        # each chunk makes one call per step, and the chunks cover the n rows once
+        assert len(chunks) == s.T * max(1, min(cpus, n // diffusion.SAMPLE_CHUNK_ROWS)), n
+        assert sum(chunks) == s.T * n, n
+
+
+def test_sampler_chunk_failure_reaches_caller(monkeypatch):
+    """A chunk that raises on a worker thread raises in the caller; BLAS threads and workers are restored."""
+    model = NoisePredictor.create(stream(2, "init"), hidden=(32,))
+    blas = diffusion._openblas_threads()
+    # the numpy wheel bundles OpenBLAS there, and its thread pair must then be found
+    assert blas is not None or not list((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"))
+    inside = []
+
+    def failing(*args):
+        if threading.current_thread() is threading.main_thread():
+            inside.append(blas[0]() if blas else None)
+            return posterior_mean(*args)
+        raise DimensionError("worker chunk failed")
+
+    _pin_cpus(monkeypatch, 2)
+    monkeypatch.setattr(diffusion, "posterior_mean", failing)
+    saved = blas[0]() if blas else None
+    if blas:
+        blas[1](2)
+    try:
+        threads_before = threading.active_count()
+        with pytest.raises(DimensionError, match="worker chunk failed"):
+            ddpm_sample(model, 600, make_schedule(3), stream(0, "sample"))
+        assert threading.active_count() == threads_before
+        if blas:
+            assert set(inside) == {1} and blas[0]() == 2
+    finally:
+        if blas:
+            blas[1](saved)
 
 
 class _GaussOracle:

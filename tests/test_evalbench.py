@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsedm.diffusion import NoisePredictor, ddpm_sample, make_schedule
+from sparsedm.diffusion import NoisePredictor, ddpm_sample, make_schedule, toy_batch
 from sparsedm.errors import ConfigError
 from sparsedm.evalbench import (
     DEFAULT_SWEEP_PATTERNS,
     SWEEP_HEADER,
+    _mean_pairwise,
     energy_distance,
     layer_macs,
     macs_count,
@@ -169,6 +170,25 @@ def test_sweep_samples_teacher_bank_once(monkeypatch, lambda1, banks):
     sweep_ratios(teacher, patterns, "gauss8", sched, config, n_eval=16)
     assert sum(seen) == banks
     assert len(seen) - sum(seen) == len(patterns)  # one eval sample per student
+
+
+def test_sweep_computes_reference_self_term_once(monkeypatch):
+    """Every entry scores against one reference set, so its E|B-B'| is computed once per sweep."""
+    teacher, sched, config = _small_sweep(0.0)
+    ref = toy_batch("gauss8", 16, stream(config.seed, "eval")).data.astype(np.float64)
+    on_ref = []
+
+    def counting(a, b):
+        on_ref.append(a is b and np.array_equal(a, ref))
+        return _mean_pairwise(a, b)
+
+    monkeypatch.setattr("sparsedm.evalbench._mean_pairwise", counting)
+    rows = sweep_ratios(teacher, [NMPattern.parse(p) for p in ("2:4", "1:4", "1:8")], "gauss8", sched, config,
+                        n_eval=16)
+    assert sum(on_ref) == 1 and len(rows) == 3
+    # the term handed in gives the very float the call would compute
+    a = ddpm_sample(teacher, 16, sched, stream(0, "sample")).data
+    assert energy_distance(a, ref, _mean_pairwise(ref, ref)) == energy_distance(a, ref)
 
 
 def test_sweep_row_does_not_depend_on_other_patterns():

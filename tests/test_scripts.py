@@ -1,10 +1,14 @@
-"""The driver scripts run end to end on a tiny budget, the benchmark's tracer finds its hooks, and a
-fresh CLI process imports scipy only for the commands that use it."""
+"""The driver scripts run end to end on a tiny budget, the benchmark's tracer finds its hooks, a
+fresh CLI process imports scipy only for the commands that use it, and its samples do not depend on
+how many CPUs it may use."""
+import hashlib
 import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from sparsedm import sparsity
 from sparsedm.cli import main  # imports every module the tracer hooks
@@ -81,3 +85,27 @@ def test_training_never_imports_scipy(tmp_path):
     """train-dense, prune and train-sparse start without scipy; sample --compressed and eval load it themselves."""
     _run_python(["-c", COLD_CLI], tmp_path)
     assert (tmp_path / "c" / "samples.csv").exists() and (tmp_path / "e" / "report.json").exists()
+
+
+# pins this process to one CPU when asked, then samples 1024 rows
+PINNED_SAMPLE = """
+import os, sys
+from sparsedm.cli import main
+
+out, pin = sys.argv[1], sys.argv[2] == "pin"
+if pin:
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+assert len(os.sched_getaffinity(0)) == 1 or not pin
+assert main(["sample", "--out", out, "--ckpt", "d", "--n", "1024"]) == 0
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+def test_samples_do_not_depend_on_cpu_count(tmp_path):
+    """One CPU samples in one chunk, several in several; samples.csv is the same file either way."""
+    assert main(["train-dense", "--out", str(tmp_path / "d"), "--steps", "4", "--batch-size", "8",
+                 "--T", "6", "--hidden", "32"]) == 0
+    _run_python(["-c", PINNED_SAMPLE, "one", "pin"], tmp_path)
+    _run_python(["-c", PINNED_SAMPLE, "all", "free"], tmp_path)
+    one, every = (hashlib.sha256((tmp_path / d / "samples.csv").read_bytes()).hexdigest() for d in ("one", "all"))
+    assert one == every
