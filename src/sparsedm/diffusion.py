@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ArchitectureError, CompressedPathError, ConfigError, DimensionError, TrainingError
 from .sparsity import CompressedLinear, MaskedLinear, NMPattern, masked_linear_forward
-from .tensor import Tape, Tensor, mse_loss, silu
+from .tensor import Tensor, mse_loss, silu
 
 DATA_DIM = 2
 
@@ -130,16 +130,17 @@ class NoisePredictor:
     def hidden(self) -> tuple[int, ...]:
         return tuple(layer.out_features for layer in self.layers[:-1])
 
-    def forward(self, x: Tensor, t, n_steps: int, tape: Tape | None = None) -> Tensor:
+    def forward(self, x: Tensor, t, n_steps: int, cache: list | None = None) -> Tensor:
+        """Predicted noise for ``x`` at steps ``t``; a list ``cache`` receives what ``tensor.backward`` reads."""
         temb = _temb_table(n_steps, self.temb_dim)[_check_t(t, n_steps)]
         # a scalar t picks one row, which broadcasts to the whole batch
         temb = np.broadcast_to(temb, (x.shape[0], temb.shape[-1]))
         h = Tensor(np.concatenate([x.data, temb], axis=1))
         last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
-            h = masked_linear_forward(h, layer, tape)
+            h = masked_linear_forward(h, layer, cache)
             if i != last:
-                h = silu(h, tape)
+                h = silu(h, cache)
         return h
 
     def copy(self) -> "NoisePredictor":
@@ -147,7 +148,7 @@ class NoisePredictor:
 
 
 def inference_forward(model: NoisePredictor, n_steps: int, compressed: bool = False):
-    """Tape-free ``fwd(x, t)`` over ``model.forward``; optionally run 2:4 layers via spmm.
+    """``fwd(x, t)`` over ``model.forward``; optionally run 2:4 layers via spmm.
 
     The compressed path needs a 2:4 model: at least one masked layer, and
     every masked layer 2:4.  Compressed forms are captured once, so the model
@@ -314,18 +315,21 @@ def toy_batch(dataset: str, n: int, rng: np.random.Generator) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def diffusion_loss(
-    tape: Tape | None,
     model,
     batch: Tensor,
     sched: NoiseSchedule,
     rng: np.random.Generator,
-) -> Tensor:
-    """Noise-prediction MSE on the given tape; draws (t, eps) from the generator."""
+    cache: list | None = None,
+) -> tuple[Tensor, Tensor, Tensor]:
+    """Noise-prediction MSE with the prediction and the noise; draws (t, eps) from the generator.
+
+    ``cache`` goes to ``model.forward``, for ``tensor.backward``.
+    """
     b = batch.shape[0]
     if b == 0:
         raise DimensionError("diffusion loss over an empty batch")
     t = rng.integers(0, sched.T, size=b)
     eps = Tensor(rng.standard_normal(batch.shape))
     x_t = q_sample(batch, t, eps, sched)
-    pred = model.forward(x_t, t, sched.T, tape)
-    return mse_loss(pred, eps, tape)
+    pred = model.forward(x_t, t, sched.T, cache)
+    return mse_loss(pred, eps), pred, eps

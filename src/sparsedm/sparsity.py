@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import CompressionError, DimensionError, PatternError
-from .tensor import Tape, Tensor, linear_ste
+from .tensor import Tensor, linear_ste
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
@@ -118,24 +118,22 @@ class MaskedLinear:
         return MaskedLinear(self.name, self.weight.copy(), self.bias.copy(), self.mask.copy(), self.pattern)
 
 
-def masked_linear_forward(x: Tensor, layer: MaskedLinear | CompressedLinear, tape: Tape | None = None) -> Tensor:
+def masked_linear_forward(x: Tensor, layer: MaskedLinear | CompressedLinear, cache: list | None = None) -> Tensor:
     """Forward through W*mask; the weight gradient skips the mask (straight-through).
 
-    A frozen ``CompressedLinear`` runs through ``spmm`` instead and takes no tape.
+    A list ``cache`` receives ``(input, W*mask)`` for ``tensor.backward``.  A
+    frozen ``CompressedLinear`` runs through ``spmm`` instead.
     """
     if x.data.ndim != 2 or x.shape[1] != layer.in_features:
         raise DimensionError(
             f"layer {layer.name} expects input width {layer.in_features}, got {x.shape}"
         )
     if isinstance(layer, CompressedLinear):
-        if tape is not None:
-            raise ValueError(f"compressed layer {layer.name} is frozen and cannot record on a tape")
         return Tensor(spmm(layer.weight, x).data + layer.bias.data)
-    if tape is None:
-        return linear_ste(x, layer.weight, layer.bias, layer.effective_weight(), None)
-    wt = tape.param(f"{layer.name}.weight", layer.weight)
-    bt = tape.param(f"{layer.name}.bias", layer.bias)
-    return linear_ste(x, wt, bt, layer.effective_weight(), tape)
+    w_eff = layer.effective_weight()
+    if cache is not None:
+        cache.append((x.data, w_eff))
+    return linear_ste(x, layer.weight, layer.bias, w_eff)
 
 
 # ---------------------------------------------------------------------------

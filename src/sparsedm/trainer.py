@@ -26,7 +26,7 @@ from .diffusion import DATA_DIM, NoisePredictor, NoiseSchedule, ddpm_sample, dif
 from .errors import ArchitectureError, ConfigError, DimensionError, PatternError, TrainingError
 from .rng import stream
 from .sparsity import MaskedLinear, NMPattern, is_transposable, make_transposable, project_mask
-from .tensor import Tape, Tensor, add, backward, mse_loss, scale
+from .tensor import Tensor, backward, mse_grad, mse_loss
 
 LR_SCHEDULES = ("constant", "cosine")
 
@@ -170,12 +170,13 @@ def prune_one_shot(
 # training loop
 # ---------------------------------------------------------------------------
 
-def _apply_grads(model: NoisePredictor, grads, lr: float, lambda_w: float) -> None:
-    for layer in model.layers:
-        gw = grads[f"{layer.name}.weight"]
-        gb = grads[f"{layer.name}.bias"]
-        layer.weight = ste_update(layer.weight, gw, layer.mask, lr, lambda_w)
-        layer.bias = _sgd_vector(layer.bias, gb, lr)
+def _apply_grads(model: NoisePredictor, branch_grads: list[list], lr: float, lambda_w: float) -> None:
+    """Sum each layer's float64 gradients over the loss branches, then take one float32 step."""
+    for layer, *per_branch in zip(model.layers, *branch_grads):
+        gw = sum(gw for gw, _ in per_branch)
+        gb = sum(gb for _, gb in per_branch)
+        layer.weight = ste_update(layer.weight, Tensor(gw), layer.mask, lr, lambda_w)
+        layer.bias = _sgd_vector(layer.bias, Tensor(gb), lr)
 
 
 def transfer_train(
@@ -237,10 +238,9 @@ def transfer_train(
         lr = config.lr_at(step)
         batch = toy_batch(dataset, config.batch_size, data_rng)
 
-        tape = Tape()
         value_dense = 0.0
         value_diff = 0.0
-        terms = []
+        branches = []  # (lambda, loss, prediction, target, forward cache) per loss term
         if use_distill:
             idx = distill_rng.integers(0, len(bank), size=config.batch_size)
             x0 = Tensor(bank[idx])
@@ -248,19 +248,21 @@ def transfer_train(
             eps_d = Tensor(distill_rng.standard_normal(x0.shape))
             x_td = q_sample(x0, td, eps_d, sched)
             target = teacher.forward(x_td, td, sched.T)
-            pred = student.forward(x_td, td, sched.T, tape)
-            l_dense = mse_loss(pred, target, tape)
+            cache = []
+            pred = student.forward(x_td, td, sched.T, cache)
+            l_dense = mse_loss(pred, target)
             value_dense = float(l_dense.data)
-            terms.append(scale(l_dense, config.lambda1, tape))
+            branches.append((config.lambda1, l_dense, pred, target, cache))
         if config.lambda2 > 0.0:
-            l_diff = diffusion_loss(tape, student, batch, sched, noise_rng)
+            cache = []
+            l_diff, pred, eps = diffusion_loss(student, batch, sched, noise_rng, cache)
             value_diff = float(l_diff.data)
-            terms.append(scale(l_diff, config.lambda2, tape))
-        total = terms[0] if len(terms) == 1 else add(terms[0], terms[1], tape)
-        value_total = float(total.data)
+            branches.append((config.lambda2, l_diff, pred, eps, cache))
+        # float32 like the losses: each term scaled, then the terms added
+        value_total = float(sum(loss.data * np.float32(lam) for lam, loss, *_ in branches))
         if not math.isfinite(value_total):
             raise TrainingError(f"loss diverged at step {step}: {value_total}")
-        grads = backward(tape, total)
+        grads = [backward(cache, mse_grad(pred, target, lam)) for lam, _, pred, target, cache in branches]
         _apply_grads(student, grads, lr, config.lambda_w)
         trace.append(
             {
@@ -272,4 +274,8 @@ def transfer_train(
                 "sparsity": 0.0 if pattern is None else pattern.sparsity,
             }
         )
+    # a loss only sees the weights before the update, so the last one is checked here
+    for layer in student.layers:
+        if not (np.isfinite(layer.weight.data).all() and np.isfinite(layer.bias.data).all()):
+            raise TrainingError(f"training diverged: layer {layer.name} holds NaN or inf after the last step")
     return student, trace

@@ -616,6 +616,21 @@ def test_divergence_raises_no_numpy_warning(runs, tmp_path, capsys, monkeypatch)
     assert not any((tmp_path / name).exists() for name in ("s", "c", "d"))
 
 
+@pytest.mark.parametrize("cmd,lr", [("train-dense", "1e39"), ("train-sparse", "1e42")])
+def test_last_step_overflow_exits_1(runs, tmp_path, capsys, cmd, lr):
+    # the loss of the only step is finite; the update after it overflows a weight to inf
+    paths = {"train-dense": ["--T", "10", "--hidden", "32"],
+             "train-sparse": ["--student", str(runs["pruned"]), "--teacher", str(runs["dense"]),
+                              "--teacher-bank", "64", "--batch-size", "32"]}[cmd]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([cmd, "--out", str(tmp_path / "x"), "--steps", "1", "--lr", lr, *paths]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "NaN or inf" in lines[0]
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("cmd", [["prune"], ["sample", "--n", "4"]], ids=["prune", "sample"])
 @pytest.mark.parametrize("entry,value", [("fc2.weight", np.nan), ("fc1.bias", np.inf), ("fc3.weight", -np.inf)],
                          ids=["nan-weight", "inf-bias", "neg-inf-weight"])

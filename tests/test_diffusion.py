@@ -22,7 +22,7 @@ from sparsedm.diffusion import (
 from sparsedm.errors import ArchitectureError, CompressedPathError, ConfigError, DimensionError
 from sparsedm.sparsity import MaskedLinear, NMPattern
 from sparsedm.trainer import prune_one_shot
-from sparsedm.tensor import Tape, Tensor, backward
+from sparsedm.tensor import Tensor, backward, mse_grad
 from sparsedm.rng import stream
 
 from conftest import assert_close_rel, ddpm_sample_reference, fd_grad
@@ -120,7 +120,7 @@ class _EpsOracle:
     def __init__(self, eps):
         self.eps = eps
 
-    def forward(self, x, t, n_steps, tape=None):
+    def forward(self, x, t, n_steps, cache=None):
         return Tensor(self.eps)
 
 
@@ -130,19 +130,19 @@ def test_loss_zero_for_exact_predictor(rng):
     probe = stream(0, "noise")
     t = probe.integers(0, s.T, size=16)
     eps = probe.standard_normal((16, 2))
-    loss = diffusion_loss(None, _EpsOracle(eps.astype(np.float32)), batch, s, stream(0, "noise"))
+    loss, _pred, _eps = diffusion_loss(_EpsOracle(eps.astype(np.float32)), batch, s, stream(0, "noise"))
     assert float(loss.data) < 1e-8
 
 
 class _ZeroModel:
-    def forward(self, x, t, n_steps, tape=None):
+    def forward(self, x, t, n_steps, cache=None):
         return Tensor(np.zeros((x.shape[0], 2), np.float32))
 
 
 def test_loss_one_for_zero_predictor(rng):
     s = make_schedule(10, 1e-4, 0.02)
     batch = Tensor(rng.standard_normal((50_000, 2)).astype(np.float32))
-    loss = diffusion_loss(None, _ZeroModel(), batch, s, rng)
+    loss, _pred, _eps = diffusion_loss(_ZeroModel(), batch, s, rng)
     assert abs(float(loss.data) - 1.0) <= 0.05
 
 
@@ -156,8 +156,9 @@ def test_loss_grads_match_fd(rng):
     s = make_schedule(5, 1e-3, 0.05)
     batch = Tensor(rng.standard_normal((8, 2)).astype(np.float32))
 
-    tape = Tape()
-    grads = backward(tape, diffusion_loss(tape, model, batch, s, stream(3, "noise")))
+    cache = []
+    _loss, pred, eps_drawn = diffusion_loss(model, batch, s, stream(3, "noise"), cache)
+    grads = backward(cache, mse_grad(pred, eps_drawn, 1.0))
 
     # regenerate the same (t, eps) draw the loss consumed
     probe = stream(3, "noise")
@@ -175,14 +176,14 @@ def test_loss_grads_match_fd(rng):
 
     vals = [model.layers[0].weight.data, model.layers[0].bias.data,
             model.layers[1].weight.data, model.layers[1].bias.data]
-    names = ["fc1.weight", "fc1.bias", "fc2.weight", "fc2.bias"]
-    for i, (name, v) in enumerate(zip(names, vals)):
+    got = [g for layer_grads in grads for g in layer_grads]
+    for i, v in enumerate(vals):
         def f(p, i=i):
             args = [a.astype(np.float64) for a in vals]
             args[i] = p
             return loss64(*args)
 
-        assert_close_rel(grads[name].data, fd_grad(f, v.astype(np.float64)), rel=1e-3)
+        assert_close_rel(got[i].astype(np.float32), fd_grad(f, v.astype(np.float64)), rel=1e-3)
 
 
 def test_time_embedding_shape_and_range():
@@ -222,7 +223,7 @@ def test_predictor_forward_rejects_out_of_range_t(rng, t):
     with pytest.raises(IndexError):
         model.forward(x, t, 10)
     with pytest.raises(IndexError):
-        model.forward(x, t, 10, Tape())
+        model.forward(x, t, 10, [])
 
 
 def test_create_rejects_indivisible_hidden():
@@ -325,7 +326,7 @@ class _GaussOracle:
         self.center = np.asarray(center, np.float64)
         self.sched = sched
 
-    def forward(self, x, t, n_steps, tape=None):
+    def forward(self, x, t, n_steps, cache=None):
         t = int(np.asarray(t).reshape(-1)[0]) if np.ndim(t) else int(t)
         ab = self.sched.alpha_bar[t]
         out = (x.data.astype(np.float64) - math.sqrt(ab) * self.center) * math.sqrt(1 - ab)

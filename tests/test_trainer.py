@@ -4,13 +4,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from sparsedm.diffusion import NoisePredictor, make_schedule
+from conftest import assert_close_rel, fd_grad
+from sparsedm.diffusion import DATA_DIM, NoisePredictor, make_schedule, time_embedding
 from sparsedm.errors import ArchitectureError, ConfigError, PatternError, TrainingError
 from sparsedm.rng import stream
-from sparsedm.sparsity import NMPattern, is_transposable, project_mask, satisfies
-from sparsedm.tensor import Tensor
-from sparsedm.trainer import TrainConfig, prune_one_shot, ste_update, transfer_train
+from sparsedm.sparsity import MaskedLinear, NMPattern, is_transposable, project_mask, satisfies
+from sparsedm.tensor import Tensor, backward, mse_grad
+from sparsedm.trainer import TrainConfig, _apply_grads, prune_one_shot, ste_update, transfer_train
 
 
 def _model(seed=0, hidden=(32,)):
@@ -341,7 +344,6 @@ def test_transfer_reduces_to_vanilla_ste_short():
     # lambda1=0 and one fixed pattern (lambda_w=0), or no pattern at all (dense
     # pretraining, where lambda_w meets all-ones masks): bit-for-bit the plain loop
     from sparsedm.diffusion import diffusion_loss, toy_batch
-    from sparsedm.tensor import Tape, backward
 
     sched = make_schedule(10, 1e-4, 0.02)
     teacher = _model(8)
@@ -363,15 +365,77 @@ def test_transfer_reduces_to_vanilla_ste_short():
                     layer.mask = project_mask(layer.weight, pattern)
             lr = config.lr_at(step)
             batch = toy_batch("gauss8", config.batch_size, data_rng)
-            tape = Tape()
-            loss = diffusion_loss(tape, ref, batch, sched, noise_rng)
+            cache = []
+            loss, pred, eps = diffusion_loss(ref, batch, sched, noise_rng, cache)
             losses.append(float(loss.data))
-            grads = backward(tape, loss)
-            for layer in ref.layers:
-                gw = grads[f"{layer.name}.weight"].data.astype(np.float64)
+            grads = backward(cache, mse_grad(pred, eps, 1.0))
+            for layer, (gw, gb) in zip(ref.layers, grads):
+                # the gradient rounds to float32 before the update, as in training
+                gw = gw.astype(np.float32).astype(np.float64)
                 w64 = layer.weight.data.astype(np.float64)
                 layer.weight = Tensor(w64 - lr * gw)
                 layer.bias = Tensor(layer.bias.data.astype(np.float64)
-                                    - lr * grads[f"{layer.name}.bias"].data.astype(np.float64))
+                                    - lr * gb.astype(np.float32).astype(np.float64))
         assert _checksum(got) == _checksum(ref)
         assert [r["loss_total"] for r in trace] == losses
+
+
+@settings(max_examples=25, deadline=None)
+@example(depth=2, lam1=0.5, lam2=0.5, seed=0)
+@given(st.integers(2, 3), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(0, 2 ** 31 - 1))
+def test_two_branch_grads_sum_to_fd_of_weighted_loss(depth, lam1, lam2, seed):
+    # a transfer step's two loss branches, each through backward, summed per layer by
+    # _apply_grads; at lr 1 on an all-zero copy of the weights, the step it takes is
+    # minus the summed float32 gradient
+    assume(lam1 + lam2 > 0.0)
+    r = np.random.default_rng(seed)
+    n_steps, temb, batch = 7, 6, 5
+    dims = [DATA_DIM + temb] + [8] * (depth - 1) + [DATA_DIM]
+    layers = [MaskedLinear.dense(f"fc{i + 1}", dims[i], dims[i + 1], r) for i in range(depth)]
+    for layer in layers:
+        # a random 2:4 mask, unrelated to the weight magnitudes
+        layer.mask = project_mask(Tensor(r.standard_normal(layer.weight.shape)), NMPattern(2, 4))
+        layer.pattern = NMPattern(2, 4)
+        layer.bias = Tensor(r.standard_normal(layer.out_features) * 0.1)
+    model = NoisePredictor(layers=layers, temb_dim=temb)
+    xs = [r.standard_normal((batch, DATA_DIM)).astype(np.float32) for _ in range(2)]
+    ts = [r.integers(0, n_steps, size=batch) for _ in range(2)]
+    targets = [r.standard_normal((batch, DATA_DIM)).astype(np.float32) for _ in range(2)]
+    lams = (lam1, lam2)
+
+    grads = []
+    for x, t, target, lam in zip(xs, ts, targets, lams):
+        cache = []
+        out = model.forward(Tensor(x), t, n_steps, cache)
+        grads.append(backward(cache, mse_grad(out, Tensor(target), lam)))
+    step = model.copy()
+    for layer in step.layers:
+        layer.weight = Tensor.zeros(layer.weight.shape)
+        layer.bias = Tensor.zeros(layer.bias.shape)
+    _apply_grads(step, grads, lr=1.0, lambda_w=0.0)
+
+    # independent float64 loss of the effective weights, so pruned positions get the STE gradient
+    h0s = [np.concatenate([x, time_embedding(t, n_steps, temb)], axis=1).astype(np.float64)
+           for x, t in zip(xs, ts)]
+    effs = [layer.effective_weight().astype(np.float64) for layer in layers]
+    biases = [layer.bias.data.astype(np.float64) for layer in layers]
+
+    def loss64(ws, bs):
+        total = 0.0
+        for h, target, lam in zip(h0s, targets, lams):
+            for i in range(depth):
+                h = h @ ws[i].T + bs[i]
+                if i < depth - 1:
+                    h = h / (1.0 + np.exp(-h))
+            total += lam * float(np.mean((h - target.astype(np.float64)) ** 2))
+        return total
+
+    for i, layer in enumerate(step.layers):
+        def f_w(v, i=i):
+            return loss64(effs[:i] + [v] + effs[i + 1:], biases)
+
+        def f_b(v, i=i):
+            return loss64(effs, biases[:i] + [v] + biases[i + 1:])
+
+        assert_close_rel(-layer.weight.data, fd_grad(f_w, effs[i]), rel=1e-3)
+        assert_close_rel(-layer.bias.data, fd_grad(f_b, biases[i]), rel=1e-3)
