@@ -10,6 +10,7 @@ compressed path is requested for an incompatible checkpoint.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -403,7 +404,27 @@ COMMANDS = {
 }
 
 
+@functools.cache
+def _keep_freed_heap_mapped() -> None:
+    """Fix glibc's mmap and trim thresholds for this process, so freed heap pages stay mapped.
+
+    Otherwise glibc returns them to the kernel after each large step, and the
+    next sampling call faults them in again.  Setting either threshold alone
+    turns off glibc's dynamic adjustment of the other, so both are set.  Only
+    ``main`` calls this: a library must not change its host's allocator.
+    """
+    import ctypes
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: 64-bit glibc's ceiling for its dynamic value
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: twice that, as glibc's dynamic rule keeps it
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap_mapped()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

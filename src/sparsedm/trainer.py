@@ -278,4 +278,7 @@ def transfer_train(
     for layer in student.layers:
         if not (np.isfinite(layer.weight.data).all() and np.isfinite(layer.bias.data).all()):
             raise TrainingError(f"training diverged: layer {layer.name} holds NaN or inf after the last step")
+    # finite weights can still be large enough that a forward overflows, and sampling would then diverge
+    if config.steps and not np.isfinite(student.forward(batch, 0, sched.T).data).all():
+        raise TrainingError("training diverged: the trained model predicts NaN or inf at t = 0")
     return student, trace

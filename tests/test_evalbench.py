@@ -108,6 +108,31 @@ def test_energy_distance_symmetric_permutation_invariant(seed):
     assert energy_distance(a[perm], b) == pytest.approx(d, rel=1e-9)
 
 
+def test_pairwise_distance_blocks_stay_bounded(monkeypatch):
+    import scipy.spatial.distance as distance
+
+    real, sizes = distance.cdist, []
+
+    def recording(a, b):
+        sizes.append(len(a) * len(b))
+        return real(a, b)
+
+    monkeypatch.setattr(distance, "cdist", recording)
+    r = np.random.default_rng(0)
+    _mean_pairwise(r.standard_normal((2000, 2)), r.standard_normal((2000, 2)))
+    assert sum(sizes) == 2000 * 2000 and max(sizes) <= 1 << 18
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3000), st.integers(1, 3000), st.integers(0, 2 ** 31 - 1))
+def test_mean_pairwise_matches_one_cdist(n, m, seed):
+    from scipy.spatial.distance import cdist
+
+    r = np.random.default_rng(seed)
+    a, b = r.standard_normal((n, 2)), r.standard_normal((m, 2))
+    assert _mean_pairwise(a, b) == pytest.approx(cdist(a, b).mean(), rel=1e-12)
+
+
 def test_default_sweep_patterns_list():
     assert [str(p) for p in DEFAULT_SWEEP_PATTERNS] == [
         "32:32", "31:32", "15:16", "7:8", "3:4", "2:4", "1:4", "1:8", "1:16", "1:32",

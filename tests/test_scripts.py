@@ -1,6 +1,7 @@
 """The driver scripts run end to end on a tiny budget, the benchmark's tracer finds its hooks, a
-fresh CLI process imports scipy only for the commands that use it, and its samples do not depend on
-how many CPUs it may use."""
+fresh CLI process imports scipy only for the commands that use it, keeps its freed heap mapped, and
+its samples do not depend on how many CPUs it may use."""
+import ctypes
 import hashlib
 import importlib.util
 import os
@@ -22,6 +23,7 @@ def _run_python(args, cwd):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def _run_script(name, args, cwd):
@@ -85,6 +87,28 @@ def test_training_never_imports_scipy(tmp_path):
     """train-dense, prune and train-sparse start without scipy; sample --compressed and eval load it themselves."""
     _run_python(["-c", COLD_CLI], tmp_path)
     assert (tmp_path / "c" / "samples.csv").exists() and (tmp_path / "e" / "report.json").exists()
+
+
+# prints the minor page faults of each of three identical sampling calls
+REPEATED_SAMPLE = """
+import resource
+from sparsedm.cli import main
+
+assert main(["train-dense", "--out", "d", "--steps", "0", "--T", "10"]) == 0
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(["sample", "--out", "s", "--ckpt", "d", "--n", "2000"]) == 0
+    print("faults", resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="needs a libc with mallopt")
+def test_cli_keeps_freed_heap_mapped(tmp_path):
+    """A CLI process keeps the pages a sampling call frees, so the next identical call faults few in."""
+    out = _run_python(["-c", REPEATED_SAMPLE], tmp_path)
+    faults = [int(line.split()[1]) for line in out.splitlines() if line.startswith("faults ")]
+    # the first call grows the heap; without fixed thresholds each later call takes about 20K faults
+    assert len(faults) == 3 and max(faults[1:]) < 2000, faults
 
 
 # pins this process to one CPU when asked, then samples 1024 rows
