@@ -24,9 +24,11 @@ DEFAULT_SWEEP_PATTERNS = tuple(
 
 SWEEP_HEADER = "pattern,sparsity,macs_sparse,macs_dense,energy_distance"
 
-# distances per cdist call: 2 MiB of float64, half of a 4 MiB L2, so each
-# block is summed while still in cache and no block sets the process's peak
-CDIST_BLOCK = 1 << 18
+# distances per block: 2 MiB of float64, the L2 of one core on the 2-core VM
+# README's numbers come from (lscpu: "L2: 4 MiB (2 instances)"), so no block
+# sets the process's peak.  Changing it reorders the float sum, and so moves
+# energy_distance's last digits.
+PAIRWISE_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -63,15 +65,23 @@ def _points(x) -> np.ndarray:
     return a
 
 
-def _mean_pairwise(a: np.ndarray, b: np.ndarray) -> float:
-    # imported here, not at module level: scipy.spatial costs about 0.2 s to
-    # import, and only eval and sweep reach this function
-    from scipy.spatial.distance import cdist
+def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances equal to ``cdist``'s bit for bit: the squared coordinate
+    differences are added first to last, then square-rooted.  Computing them
+    here keeps eval and sweep from importing a 36 MB distance module."""
+    d = np.subtract.outer(a[:, 0], b[:, 0])
+    np.square(d, out=d)
+    for k in range(1, a.shape[1]):
+        diff = np.subtract.outer(a[:, k], b[:, k])
+        d += np.square(diff, out=diff)
+    return np.sqrt(d, out=d)
 
+
+def _mean_pairwise(a: np.ndarray, b: np.ndarray) -> float:
     total = 0.0
-    chunk = max(1, CDIST_BLOCK // len(b))
+    chunk = max(1, PAIRWISE_BLOCK // len(b))
     for s in range(0, len(a), chunk):
-        total += cdist(a[s : s + chunk], b).sum()
+        total += _pair_distances(a[s : s + chunk], b).sum()
     return total / (len(a) * len(b))
 
 

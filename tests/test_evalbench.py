@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
+from sparsedm import evalbench
 from sparsedm.diffusion import NoisePredictor, ddpm_sample, make_schedule, toy_batch
 from sparsedm.errors import ConfigError
 from sparsedm.evalbench import (
     DEFAULT_SWEEP_PATTERNS,
+    PAIRWISE_BLOCK,
     SWEEP_HEADER,
     _mean_pairwise,
     energy_distance,
@@ -109,28 +112,43 @@ def test_energy_distance_symmetric_permutation_invariant(seed):
 
 
 def test_pairwise_distance_blocks_stay_bounded(monkeypatch):
-    import scipy.spatial.distance as distance
-
-    real, sizes = distance.cdist, []
+    real, sizes = evalbench._pair_distances, []
 
     def recording(a, b):
-        sizes.append(len(a) * len(b))
-        return real(a, b)
+        d = real(a, b)
+        sizes.append(d.size)
+        return d
 
-    monkeypatch.setattr(distance, "cdist", recording)
+    monkeypatch.setattr(evalbench, "_pair_distances", recording)
     r = np.random.default_rng(0)
     _mean_pairwise(r.standard_normal((2000, 2)), r.standard_normal((2000, 2)))
     assert sum(sizes) == 2000 * 2000 and max(sizes) <= 1 << 18
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(1, 3000), st.integers(1, 3000), st.integers(0, 2 ** 31 - 1))
-def test_mean_pairwise_matches_one_cdist(n, m, seed):
-    from scipy.spatial.distance import cdist
+def _blockwise_cdist_mean(a, b):
+    """scipy's cdist over the same row blocks, their sums added in the same order."""
+    total = 0.0
+    rows = max(1, PAIRWISE_BLOCK // len(b))
+    for s in range(0, len(a), rows):
+        total += cdist(a[s : s + rows], b).sum()
+    return total / (len(a) * len(b))
 
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3000), st.integers(1, 3000), st.integers(1, 4), st.floats(-3.0, 3.0),
+       st.integers(0, 3000), st.integers(0, 2 ** 31 - 1))
+def test_mean_pairwise_matches_one_cdist(n, m, dim, log_scale, dups, seed):
+    """The numpy kernel is cdist bit for bit: same distances, same block sums, same order."""
     r = np.random.default_rng(seed)
-    a, b = r.standard_normal((n, 2)), r.standard_normal((m, 2))
-    assert _mean_pairwise(a, b) == pytest.approx(cdist(a, b).mean(), rel=1e-12)
+    a, b = (10.0 ** log_scale * r.standard_normal((k, dim)) for k in (n, m))
+    # duplicate points, across the two sets and within one, give exact zero distances
+    k = min(dups, n, m)
+    b[:k] = a[r.integers(0, n, k)]
+    a[: k // 2] = a[-1]
+    # each distance, not only the sum, which can absorb a last-bit difference
+    first = a[: max(1, PAIRWISE_BLOCK // m)]
+    assert np.array_equal(evalbench._pair_distances(first, b), cdist(first, b))
+    assert _mean_pairwise(a, b) == _blockwise_cdist_mean(a, b)
 
 
 def test_default_sweep_patterns_list():

@@ -1,5 +1,5 @@
 """The driver scripts run end to end on a tiny budget, the benchmark's tracer finds its hooks, a
-fresh CLI process imports scipy only for the commands that use it, keeps its freed heap mapped, and
+fresh CLI process imports scipy only for compressed sampling, keeps its freed heap mapped, and
 its samples do not depend on how many CPUs it may use."""
 import ctypes
 import hashlib
@@ -76,17 +76,21 @@ run("train-dense", "--out", "d", "--steps", "2", "--batch-size", "8", "--T", "4"
 run("prune", "--out", "p", "--ckpt", "d")
 run("train-sparse", "--out", "s", "--student", "p", "--teacher", "d", "--steps", "2", "--batch-size", "8",
     "--teacher-bank", "16")
-loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
-assert not loaded, f"training loaded {loaded[:5]}"
-run("sample", "--out", "c", "--ckpt", "s", "--n", "8", "--compressed")
 run("eval", "--out", "e", "--ckpt", "s", "--n", "16")
+run("sweep", "--out", "w", "--ckpt", "d", "--patterns", "2:4,1:4", "--steps", "2", "--batch-size", "8",
+    "--teacher-bank", "16", "--n-eval", "16")
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+assert not loaded, f"training, eval or sweep loaded {loaded[:5]}"
+run("sample", "--out", "c", "--ckpt", "s", "--n", "8", "--compressed")
+assert "scipy.sparse" in sys.modules and "scipy.spatial" not in sys.modules
 """
 
 
-def test_training_never_imports_scipy(tmp_path):
-    """train-dense, prune and train-sparse start without scipy; sample --compressed and eval load it themselves."""
+def test_only_compressed_sampling_imports_scipy(tmp_path):
+    """Training, eval and sweep start and finish without scipy; sample --compressed loads scipy.sparse alone."""
     _run_python(["-c", COLD_CLI], tmp_path)
-    assert (tmp_path / "c" / "samples.csv").exists() and (tmp_path / "e" / "report.json").exists()
+    for out in ("c/samples.csv", "e/report.json", "w/sweep.csv"):
+        assert (tmp_path / out).exists()
 
 
 # prints the minor page faults of each of three identical sampling calls
