@@ -332,7 +332,7 @@ def cmd_sample(args) -> int:
     if n < 1:
         raise ConfigError(f"sample count must be >= 1, got {n}")
     # a model the compressed path refuses fails here, before anything is written
-    pts = ddpm_sample(model, n, sched, stream(cfg["seed"], "sample"), compressed=cfg["compressed"]).data
+    pts = ddpm_sample(model, n, sched, stream(cfg["seed"], "sample"), compressed=cfg["compressed"])
     out = _echo_config(args, cfg)
     _write_samples_csv(out / "samples.csv", pts)
     if cfg["svg"]:
@@ -347,8 +347,8 @@ def cmd_eval(args) -> int:
     n = cfg["n"]
     if n < 2:
         raise ConfigError(f"eval needs n >= 2, got {n}")
-    samples = ddpm_sample(model, n, sched, stream(cfg["seed"], "sample")).data
-    ref = toy_batch(cfg["data"], n, stream(cfg["seed"], "eval")).data
+    samples = ddpm_sample(model, n, sched, stream(cfg["seed"], "sample"))
+    ref = toy_batch(cfg["data"], n, stream(cfg["seed"], "eval"))
     macs = macs_count(model, (1,))
     report = {
         "energy_distance": float(energy_distance(samples, ref)),

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ArchitectureError, CompressedPathError, ConfigError, DimensionError, TrainingError
 from .sparsity import CompressedLinear, MaskedLinear, NMPattern, masked_linear_forward
-from .tensor import Tensor, mse_loss, silu
+from .tensor import mse_loss, silu
 
 DATA_DIM = 2
 
@@ -56,7 +56,7 @@ def _check_t(t, T: int) -> np.ndarray:
     return t
 
 
-def q_sample(x0: Tensor, t, eps: Tensor, sched: NoiseSchedule) -> Tensor:
+def q_sample(x0: np.ndarray, t, eps: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
     """Noising step: ``sqrt(abar_t) x0 + sqrt(1 - abar_t) eps``; t scalar or per-row."""
     if x0.shape != eps.shape:
         raise DimensionError(f"x0 {x0.shape} and eps {eps.shape} differ")
@@ -64,18 +64,18 @@ def q_sample(x0: Tensor, t, eps: Tensor, sched: NoiseSchedule) -> Tensor:
     ab = sched.alpha_bar[t]
     if ab.ndim:
         ab = ab[:, None]
-    out = np.sqrt(ab) * x0.data.astype(np.float64) + np.sqrt(1.0 - ab) * eps.data.astype(np.float64)
-    return Tensor(out)
+    out = np.sqrt(ab) * x0.astype(np.float64) + np.sqrt(1.0 - ab) * eps.astype(np.float64)
+    return out.astype(np.float32)
 
 
-def posterior_mean(x_t: Tensor, eps_hat: Tensor, t: int, sched: NoiseSchedule) -> Tensor:
+def posterior_mean(x_t: np.ndarray, eps_hat: np.ndarray, t: int, sched: NoiseSchedule) -> np.ndarray:
     """Reverse-step mean ``(x_t - beta_t/sqrt(1-abar_t) eps_hat) / sqrt(alpha_t)`` at one timestep t."""
     if x_t.shape != eps_hat.shape:
         raise DimensionError(f"x_t {x_t.shape} and eps_hat {eps_hat.shape} differ")
     t = _check_t(t, sched.T)
     beta, alpha, ab = sched.beta[t], sched.alpha[t], sched.alpha_bar[t]
-    out = (x_t.data.astype(np.float64) - beta / np.sqrt(1.0 - ab) * eps_hat.data.astype(np.float64)) / np.sqrt(alpha)
-    return Tensor(out)
+    out = (x_t.astype(np.float64) - beta / np.sqrt(1.0 - ab) * eps_hat.astype(np.float64)) / np.sqrt(alpha)
+    return out.astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +109,11 @@ class NoisePredictor:
     layers: list[MaskedLinear | CompressedLinear]
     temb_dim: int = TEMB_DIM
 
+    def __post_init__(self):
+        # time_embedding is 2 * (dim // 2) wide, so an odd or negative width never fits fc1
+        if type(self.temb_dim) is not int or self.temb_dim < 0 or self.temb_dim % 2:
+            raise ArchitectureError(f"time-embedding width must be an even integer >= 0, got {self.temb_dim!r}")
+
     @classmethod
     def create(
         cls,
@@ -119,23 +124,21 @@ class NoisePredictor:
         if not hidden or any(h < 32 or h % 32 for h in hidden):
             # every sweep group size up to 32 must divide the hidden widths
             raise ArchitectureError(f"hidden widths must be positive multiples of 32, got {hidden}")
+        model = cls(layers=[], temb_dim=temb_dim)  # checks temb_dim before any layer is drawn
         dims = [DATA_DIM + temb_dim, *hidden, DATA_DIM]
-        layers = [
-            MaskedLinear.dense(f"fc{i + 1}", dims[i], dims[i + 1], rng)
-            for i in range(len(dims) - 1)
-        ]
-        return cls(layers=layers, temb_dim=temb_dim)
+        model.layers = [MaskedLinear.dense(f"fc{i + 1}", dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)]
+        return model
 
     @property
     def hidden(self) -> tuple[int, ...]:
         return tuple(layer.out_features for layer in self.layers[:-1])
 
-    def forward(self, x: Tensor, t, n_steps: int, cache: list | None = None) -> Tensor:
+    def forward(self, x: np.ndarray, t, n_steps: int, cache: list | None = None) -> np.ndarray:
         """Predicted noise for ``x`` at steps ``t``; a list ``cache`` receives what ``tensor.backward`` reads."""
         temb = _temb_table(n_steps, self.temb_dim)[_check_t(t, n_steps)]
         # a scalar t picks one row, which broadcasts to the whole batch
         temb = np.broadcast_to(temb, (x.shape[0], temb.shape[-1]))
-        h = Tensor(np.concatenate([x.data, temb], axis=1))
+        h = np.concatenate([x, temb], axis=1, dtype=np.float32)
         last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
             h = masked_linear_forward(h, layer, cache)
@@ -163,7 +166,7 @@ def inference_forward(model: NoisePredictor, n_steps: int, compressed: bool = Fa
         model = NoisePredictor(layers=layers, temb_dim=model.temb_dim)
 
     def fwd(x: np.ndarray, t) -> np.ndarray:
-        return model.forward(Tensor(x), t, n_steps).data
+        return model.forward(x, t, n_steps)
 
     return fwd
 
@@ -181,7 +184,7 @@ def _reverse_chain(fwd, sched: NoiseSchedule, rng: np.random.Generator, n: int, 
     x = rng.standard_normal((n, DATA_DIM))[lo:hi].astype(np.float32)
     for t in range(sched.T - 1, -1, -1):
         eps_hat = fwd(x, t)
-        mu = posterior_mean(Tensor(x), Tensor(eps_hat), t, sched).data
+        mu = posterior_mean(x, eps_hat, t, sched)
         if t > 0:
             z = rng.standard_normal((n, DATA_DIM))[lo:hi]
             x = (mu.astype(np.float64) + np.sqrt(sched.beta[t]) * z).astype(np.float32)
@@ -249,7 +252,7 @@ def ddpm_sample(
     sched: NoiseSchedule,
     rng: np.random.Generator,
     compressed: bool = False,
-) -> Tensor:
+) -> np.ndarray:
     """Ancestral sampling from pure noise; deterministic given the generator state.
 
     The rows split into one chunk per usable CPU, at least ``SAMPLE_CHUNK_ROWS``
@@ -265,7 +268,7 @@ def ddpm_sample(
     x = _reverse_chain(fwd, sched, rng, n, 0, n) if w == 1 else _sample_chunks(fwd, sched, rng, n, w)
     if not np.isfinite(x).all():
         raise TrainingError(f"sampling diverged: {np.count_nonzero(~np.isfinite(x))} non-finite coordinates")
-    return Tensor(x)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +292,7 @@ _SWISS_STD = np.array([6.623712, 6.950436])
 _CHECKER_SCALE = 1.0 / np.sqrt(4.0 / 3.0)
 
 
-def toy_batch(dataset: str, n: int, rng: np.random.Generator) -> Tensor:
+def toy_batch(dataset: str, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n points of a named dataset at zero mean and unit scale; deterministic per generator state."""
     if dataset not in DATASETS:
         raise ConfigError(f"unknown dataset {dataset!r}, choose from {DATASETS}")
@@ -307,7 +310,7 @@ def toy_batch(dataset: str, n: int, rng: np.random.Generator) -> Tensor:
         x1 = rng.random(n) * 4.0 - 2.0
         x2 = rng.random(n) - rng.integers(0, 2, size=n) * 2.0 + (np.floor(x1) % 2)
         pts = np.stack([x1, x2], axis=1) * _CHECKER_SCALE
-    return Tensor(pts)
+    return pts.astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +319,11 @@ def toy_batch(dataset: str, n: int, rng: np.random.Generator) -> Tensor:
 
 def diffusion_loss(
     model,
-    batch: Tensor,
+    batch: np.ndarray,
     sched: NoiseSchedule,
     rng: np.random.Generator,
     cache: list | None = None,
-) -> tuple[Tensor, Tensor, Tensor]:
+) -> tuple[np.float32, np.ndarray, np.ndarray]:
     """Noise-prediction MSE with the prediction and the noise; draws (t, eps) from the generator.
 
     ``cache`` goes to ``model.forward``, for ``tensor.backward``.
@@ -329,7 +332,7 @@ def diffusion_loss(
     if b == 0:
         raise DimensionError("diffusion loss over an empty batch")
     t = rng.integers(0, sched.T, size=b)
-    eps = Tensor(rng.standard_normal(batch.shape))
+    eps = rng.standard_normal(batch.shape).astype(np.float32)
     x_t = q_sample(batch, t, eps, sched)
     pred = model.forward(x_t, t, sched.T, cache)
     return mse_loss(pred, eps), pred, eps

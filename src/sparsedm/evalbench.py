@@ -65,14 +65,16 @@ def _points(x) -> np.ndarray:
     return a
 
 
-def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances equal to ``cdist``'s bit for bit: the squared coordinate
-    differences are added first to last, then square-rooted.  Computing them
-    here keeps eval and sweep from importing a 36 MB distance module."""
-    d = np.subtract.outer(a[:, 0], b[:, 0])
+def _pair_distances(a: np.ndarray, b: np.ndarray, d: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """Euclidean distances equal to ``cdist``'s bit for bit, written into ``d``:
+    the squared coordinate differences are added first to last, then
+    square-rooted.  ``diff`` is a work buffer of the same (len(a), len(b)) shape.
+    Computing them here keeps eval and sweep from importing a 36 MB distance
+    module."""
+    np.subtract.outer(a[:, 0], b[:, 0], out=d)
     np.square(d, out=d)
     for k in range(1, a.shape[1]):
-        diff = np.subtract.outer(a[:, k], b[:, k])
+        np.subtract.outer(a[:, k], b[:, k], out=diff)
         d += np.square(diff, out=diff)
     return np.sqrt(d, out=d)
 
@@ -80,8 +82,11 @@ def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _mean_pairwise(a: np.ndarray, b: np.ndarray) -> float:
     total = 0.0
     chunk = max(1, PAIRWISE_BLOCK // len(b))
+    # one pair of block buffers per call, so no block asks the allocator for fresh pages
+    d, diff = np.empty((2, min(chunk, len(a)), len(b)))
     for s in range(0, len(a), chunk):
-        total += _pair_distances(a[s : s + chunk], b).sum()
+        block = a[s : s + chunk]
+        total += _pair_distances(block, b, d[: len(block)], diff[: len(block)]).sum()
     return total / (len(a) * len(b))
 
 
@@ -115,7 +120,7 @@ def _sweep_entry(pattern, teacher, dataset, sched, config, n_eval, ref, ref_self
         "sparsity": pattern.sparsity,
         "macs_sparse": report.sparse_total,
         "macs_dense": report.dense_total,
-        "energy_distance": energy_distance(samples.data, ref, ref_self),
+        "energy_distance": energy_distance(samples, ref, ref_self),
     }
 
 
@@ -144,11 +149,11 @@ def sweep_ratios(
     config.validate()
     if n_eval < 2:
         raise ConfigError(f"n_eval must be >= 2, got {n_eval}")
-    ref = _points(toy_batch(dataset, n_eval, stream(config.seed, "eval")).data)
+    ref = _points(toy_batch(dataset, n_eval, stream(config.seed, "eval")))
     ref_self = _mean_pairwise(ref, ref)
     bank = None
     if config.lambda1 > 0.0:
-        bank = ddpm_sample(teacher, config.teacher_bank, sched, stream(config.seed, "distill")).data
+        bank = ddpm_sample(teacher, config.teacher_bank, sched, stream(config.seed, "distill"))
     ordered = sorted(patterns, key=lambda p: (p.sparsity, p.m))
     return [_sweep_entry(p, teacher, dataset, sched, config, n_eval, ref, ref_self, bank) for p in ordered]
 

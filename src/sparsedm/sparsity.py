@@ -99,7 +99,7 @@ class MaskedLinear:
         return cls(
             name=name,
             weight=Tensor(w),
-            bias=Tensor.zeros((n_out,)),
+            bias=Tensor(np.zeros(n_out)),
             mask=np.ones((n_out, n_in), dtype=np.uint8),
         )
 
@@ -118,21 +118,23 @@ class MaskedLinear:
         return MaskedLinear(self.name, self.weight.copy(), self.bias.copy(), self.mask.copy(), self.pattern)
 
 
-def masked_linear_forward(x: Tensor, layer: MaskedLinear | CompressedLinear, cache: list | None = None) -> Tensor:
+def masked_linear_forward(
+    x: np.ndarray, layer: MaskedLinear | CompressedLinear, cache: list | None = None
+) -> np.ndarray:
     """Forward through W*mask; the weight gradient skips the mask (straight-through).
 
     A list ``cache`` receives ``(input, W*mask)`` for ``tensor.backward``.  A
     frozen ``CompressedLinear`` runs through ``spmm`` instead.
     """
-    if x.data.ndim != 2 or x.shape[1] != layer.in_features:
+    if x.ndim != 2 or x.shape[1] != layer.in_features:
         raise DimensionError(
             f"layer {layer.name} expects input width {layer.in_features}, got {x.shape}"
         )
     if isinstance(layer, CompressedLinear):
-        return Tensor(spmm(layer.weight, x).data + layer.bias.data)
+        return spmm(layer.weight, x) + layer.bias.data
     w_eff = layer.effective_weight()
     if cache is not None:
-        cache.append((x.data, w_eff))
+        cache.append((x, w_eff))
     return linear_ste(x, layer.weight, layer.bias, w_eff)
 
 
@@ -152,9 +154,9 @@ class Compressed24:
     csr: csr_matrix
 
 
-def compress_2_4(w: Tensor, mask: np.ndarray) -> Compressed24:
+def compress_2_4(w: np.ndarray, mask: np.ndarray) -> Compressed24:
     """Compress a 2:4-sparse matrix at its mask's kept positions, so explicit zeros stay lossless."""
-    if w.data.ndim != 2:
+    if w.ndim != 2:
         raise DimensionError(f"compress_2_4 needs a 2-d weight, got {w.shape}")
     rows, cols = w.shape
     if cols % 4:
@@ -163,7 +165,7 @@ def compress_2_4(w: Tensor, mask: np.ndarray) -> Compressed24:
         raise DimensionError(f"weight {w.shape} and mask {mask.shape} differ")
     if not satisfies(mask, NMPattern(2, 4)):
         raise CompressionError("mask does not keep exactly 2 of every 4 entries")
-    outside = np.argwhere(w.data * (1 - mask))
+    outside = np.argwhere(w * (1 - mask))
     if len(outside):
         r, c = outside[0]
         raise CompressionError(f"nonzero weight outside mask in group ({r},{c // 4})")
@@ -173,23 +175,23 @@ def compress_2_4(w: Tensor, mask: np.ndarray) -> Compressed24:
 
     kept = mask != 0
     indptr = np.arange(0, rows * cols // 2 + 1, cols // 2)
-    csr = csr_matrix((w.data[kept].astype(np.float64), np.nonzero(kept)[1], indptr), shape=(rows, cols))
+    csr = csr_matrix((w[kept].astype(np.float64), np.nonzero(kept)[1], indptr), shape=(rows, cols))
     return Compressed24(rows=rows, cols=cols, csr=csr)
 
 
-def spmm(c: Compressed24, x: Tensor) -> Tensor:
+def spmm(c: Compressed24, x: np.ndarray) -> np.ndarray:
     """``x @ W.T`` using only the kept half of W; float64 accumulation.
 
     Touches rows*cols/2 weight entries per batch row, exactly half the dense
     multiply count.
     """
-    if x.data.ndim != 2:
+    if x.ndim != 2:
         raise DimensionError(f"spmm needs a 2-d input, got {x.shape}")
     if x.shape[1] != c.cols:
         raise DimensionError(f"input width {x.shape[1]} mismatches compressed cols {c.cols}")
     # scipy multiplies a C-contiguous (cols, batch) operand without copying it again
-    xt = np.ascontiguousarray(x.data.T, dtype=np.float64)
-    return Tensor(np.ascontiguousarray((c.csr @ xt).T, dtype=np.float32))
+    xt = np.ascontiguousarray(x.T, dtype=np.float64)
+    return np.ascontiguousarray((c.csr @ xt).T, dtype=np.float32)
 
 
 @dataclass(frozen=True)
@@ -202,7 +204,7 @@ class CompressedLinear:
 
     @classmethod
     def from_masked(cls, layer: MaskedLinear) -> "CompressedLinear":
-        return cls(layer.name, compress_2_4(Tensor(layer.effective_weight()), layer.mask), layer.bias)
+        return cls(layer.name, compress_2_4(layer.effective_weight(), layer.mask), layer.bias)
 
     @property
     def in_features(self) -> int:

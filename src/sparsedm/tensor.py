@@ -1,10 +1,12 @@
-"""Float32 tensors, the noise predictor's ops, and the one backward pass it needs.
+"""The float32 parameter type, the noise predictor's ops, and the one backward pass it needs.
 
-The only differentiated graph is a linear/SiLU stack under an MSE loss, so
-``backward`` is written out for that stack rather than recorded per op.
-Matrix products and reductions accumulate in float64 and store float32,
-which keeps finite-difference checks stable at desk scale.  All loops run
-in a fixed order, so replaying the same step is bit-identical.
+A layer's weight and bias are ``Tensor``s; every activation, batch, sample
+and loss is a plain float32 ndarray.  The only differentiated graph is a
+linear/SiLU stack under an MSE loss, so ``backward`` is written out for that
+stack rather than recorded per op.  Matrix products and reductions
+accumulate in float64 and store float32, which keeps finite-difference
+checks stable at desk scale.  All loops run in a fixed order, so replaying
+the same step is bit-identical.
 """
 from __future__ import annotations
 
@@ -34,38 +36,22 @@ def _sigmoid64(x: np.ndarray) -> np.ndarray:
 
 
 class Tensor:
-    """Row-major float32 array; the numeric carrier between all modules."""
+    """A layer parameter: a row-major float32 array, cast on construction."""
 
     __slots__ = ("data",)
 
     def __init__(self, data):
-        arr = np.asarray(data, dtype=np.float32)
-        if arr.ndim and not arr.flags["C_CONTIGUOUS"]:
-            # ascontiguousarray would also promote 0-d scalars to 1-d, so only
-            # touch arrays that actually need the copy
-            arr = np.ascontiguousarray(arr)
-        self.data = arr
+        self.data = np.ascontiguousarray(data, dtype=np.float32)
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def copy(self) -> "Tensor":
         return Tensor(self.data.copy())
 
-    @classmethod
-    def zeros(cls, shape) -> "Tensor":
-        return cls(np.zeros(shape, dtype=np.float32))
 
-    def __repr__(self) -> str:
-        return f"Tensor{self.shape}"
-
-
-def linear_ste(x: Tensor, w: Tensor, b: Tensor, w_eff: np.ndarray) -> Tensor:
+def linear_ste(x: np.ndarray, w: Tensor, b: Tensor, w_eff: np.ndarray) -> np.ndarray:
     """Affine map ``y = x @ w_eff.T + b`` with a straight-through weight gradient.
 
     ``w_eff`` is the weight actually multiplied (typically the masked copy of
@@ -73,7 +59,7 @@ def linear_ste(x: Tensor, w: Tensor, b: Tensor, w_eff: np.ndarray) -> Tensor:
     and the dense parameter ``w`` takes it unchanged, so positions the mask
     zeroes out still receive gradient signal.
     """
-    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
+    if x.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
         raise DimensionError(
             f"linear expects 2-d input, 2-d weight, 1-d bias, got {x.shape}, {w.shape}, {b.shape}"
         )
@@ -81,9 +67,9 @@ def linear_ste(x: Tensor, w: Tensor, b: Tensor, w_eff: np.ndarray) -> Tensor:
         raise DimensionError(f"effective weight {w_eff.shape} differs from weight {w.shape}")
     if x.shape[1] != w.shape[1] or b.shape[0] != w.shape[0]:
         raise DimensionError(f"linear shapes do not chain: {x.shape}, {w.shape}, {b.shape}")
-    out = _f64(x.data) @ _f64(w_eff).T
+    out = _f64(x) @ _f64(w_eff).T
     out += b.data
-    return Tensor(out.astype(np.float32))
+    return out.astype(np.float32)
 
 
 # elements per SiLU block: each float64 temporary of a block (256 KiB) stays in
@@ -91,9 +77,9 @@ def linear_ste(x: Tensor, w: Tensor, b: Tensor, w_eff: np.ndarray) -> Tensor:
 SILU_BLOCK = 1 << 15
 
 
-def silu(x: Tensor, cache: list | None = None) -> Tensor:
+def silu(x: np.ndarray, cache: list | None = None) -> np.ndarray:
     """``x * sigmoid(x)``, rounded once to float32; a list ``cache`` receives ``(x, float64 sigmoid)``."""
-    flat = x.data.reshape(-1)
+    flat = x.reshape(-1)
     out = np.empty(flat.shape, np.float32)
     sig = np.empty(flat.shape) if cache is not None else None
     for s in range(0, flat.size, SILU_BLOCK):
@@ -104,22 +90,22 @@ def silu(x: Tensor, cache: list | None = None) -> Tensor:
         if sig is not None:
             sig[s : s + SILU_BLOCK] = sig_block
     if cache is not None:
-        cache.append((x.data, sig.reshape(x.shape)))
-    return Tensor(out.reshape(x.shape))
+        cache.append((x, sig.reshape(x.shape)))
+    return out.reshape(x.shape)
 
 
-def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
+def mse_loss(pred: np.ndarray, target: np.ndarray) -> np.float32:
     if pred.shape != target.shape:
         raise DimensionError(f"mse shapes {pred.shape} and {target.shape} differ")
     if pred.size == 0:
         raise DimensionError("mse over an empty tensor")
-    diff = _f64(pred.data) - _f64(target.data)
-    return Tensor(np.float32((diff * diff).mean()))
+    diff = _f64(pred) - _f64(target)
+    return np.float32((diff * diff).mean())
 
 
-def mse_grad(pred: Tensor, target: Tensor, weight: float) -> np.ndarray:
+def mse_grad(pred: np.ndarray, target: np.ndarray, weight: float) -> np.ndarray:
     """Float64 gradient of ``weight * mse_loss(pred, target)`` with respect to ``pred``."""
-    return weight * ((2.0 / pred.size) * (_f64(pred.data) - _f64(target.data)))
+    return weight * ((2.0 / pred.size) * (_f64(pred) - _f64(target)))
 
 
 def backward(cache: list[tuple], g: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -99,7 +99,7 @@ class TrainConfig:
 # update rules
 # ---------------------------------------------------------------------------
 
-def ste_update(w: Tensor, grad: Tensor, mask: np.ndarray, lr: float, lambda_w: float) -> Tensor:
+def ste_update(w: Tensor, grad: np.ndarray, mask: np.ndarray, lr: float, lambda_w: float) -> Tensor:
     """One regularized straight-through step; float64 math, float32 result.
 
     The lambda_w term is exactly zero at kept positions (W equals W*mask
@@ -110,14 +110,10 @@ def ste_update(w: Tensor, grad: Tensor, mask: np.ndarray, lr: float, lambda_w: f
     if lambda_w < 0.0:
         raise ConfigError(f"lambda_w must be >= 0, got {lambda_w!r}")
     w64 = w.data.astype(np.float64)
-    g64 = grad.data.astype(np.float64)
+    g64 = grad.astype(np.float64)
     if lambda_w:
         g64 = g64 + lambda_w * (w64 - w64 * mask)
     return Tensor(w64 - lr * g64)
-
-
-def _sgd_vector(v: Tensor, grad: Tensor, lr: float) -> Tensor:
-    return Tensor(v.data.astype(np.float64) - lr * grad.data.astype(np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +167,12 @@ def prune_one_shot(
 # ---------------------------------------------------------------------------
 
 def _apply_grads(model: NoisePredictor, branch_grads: list[list], lr: float, lambda_w: float) -> None:
-    """Sum each layer's float64 gradients over the loss branches, then take one float32 step."""
+    """Sum each layer's float64 gradients over the loss branches, round the sums to float32, then take one step."""
     for layer, *per_branch in zip(model.layers, *branch_grads):
-        gw = sum(gw for gw, _ in per_branch)
-        gb = sum(gb for _, gb in per_branch)
-        layer.weight = ste_update(layer.weight, Tensor(gw), layer.mask, lr, lambda_w)
-        layer.bias = _sgd_vector(layer.bias, Tensor(gb), lr)
+        gw = sum(gw for gw, _ in per_branch).astype(np.float32)
+        gb = sum(gb for _, gb in per_branch).astype(np.float32)
+        layer.weight = ste_update(layer.weight, gw, layer.mask, lr, lambda_w)
+        layer.bias = Tensor(layer.bias.data - lr * gb.astype(np.float64))
 
 
 def transfer_train(
@@ -228,7 +224,7 @@ def transfer_train(
     if use_distill:
         distill_rng = stream(config.seed, "distill")
         if bank is None:
-            bank = ddpm_sample(teacher, config.teacher_bank, sched, distill_rng).data
+            bank = ddpm_sample(teacher, config.teacher_bank, sched, distill_rng)
 
     trace: list[dict] = []
     for step in range(config.steps):
@@ -243,23 +239,23 @@ def transfer_train(
         branches = []  # (lambda, loss, prediction, target, forward cache) per loss term
         if use_distill:
             idx = distill_rng.integers(0, len(bank), size=config.batch_size)
-            x0 = Tensor(bank[idx])
+            x0 = bank[idx].astype(np.float32, copy=False)
             td = distill_rng.integers(0, sched.T, size=config.batch_size)
-            eps_d = Tensor(distill_rng.standard_normal(x0.shape))
+            eps_d = distill_rng.standard_normal(x0.shape).astype(np.float32)
             x_td = q_sample(x0, td, eps_d, sched)
             target = teacher.forward(x_td, td, sched.T)
             cache = []
             pred = student.forward(x_td, td, sched.T, cache)
             l_dense = mse_loss(pred, target)
-            value_dense = float(l_dense.data)
+            value_dense = float(l_dense)
             branches.append((config.lambda1, l_dense, pred, target, cache))
         if config.lambda2 > 0.0:
             cache = []
             l_diff, pred, eps = diffusion_loss(student, batch, sched, noise_rng, cache)
-            value_diff = float(l_diff.data)
+            value_diff = float(l_diff)
             branches.append((config.lambda2, l_diff, pred, eps, cache))
         # float32 like the losses: each term scaled, then the terms added
-        value_total = float(sum(loss.data * np.float32(lam) for lam, loss, *_ in branches))
+        value_total = float(sum(loss * np.float32(lam) for lam, loss, *_ in branches))
         if not math.isfinite(value_total):
             raise TrainingError(f"loss diverged at step {step}: {value_total}")
         grads = [backward(cache, mse_grad(pred, target, lam)) for lam, _, pred, target, cache in branches]
@@ -279,6 +275,6 @@ def transfer_train(
         if not (np.isfinite(layer.weight.data).all() and np.isfinite(layer.bias.data).all()):
             raise TrainingError(f"training diverged: layer {layer.name} holds NaN or inf after the last step")
     # finite weights can still be large enough that a forward overflows, and sampling would then diverge
-    if config.steps and not np.isfinite(student.forward(batch, 0, sched.T).data).all():
+    if config.steps and not np.isfinite(student.forward(batch, 0, sched.T)).all():
         raise TrainingError("training diverged: the trained model predicts NaN or inf at t = 0")
     return student, trace

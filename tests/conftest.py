@@ -7,7 +7,6 @@ from hypothesis import settings
 
 from sparsedm.diffusion import DATA_DIM, inference_forward, posterior_mean
 from sparsedm.errors import TrainingError
-from sparsedm.tensor import Tensor
 
 # every run explores the same examples; tests keep their own max_examples
 settings.register_profile("deterministic", derandomize=True, deadline=None)
@@ -49,13 +48,13 @@ def sigmoid64_reference(x) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def ddpm_sample_reference(model, n, sched, rng, compressed=False) -> Tensor:
+def ddpm_sample_reference(model, n, sched, rng, compressed=False) -> np.ndarray:
     """The one-thread, whole-batch reverse chain that ``diffusion.ddpm_sample`` must match bit for bit."""
     fwd = inference_forward(model, sched.T, compressed)
     x = rng.standard_normal((n, DATA_DIM)).astype(np.float32)
     for t in range(sched.T - 1, -1, -1):
         eps_hat = fwd(x, t)
-        mu = posterior_mean(Tensor(x), Tensor(eps_hat), t, sched).data
+        mu = posterior_mean(x, eps_hat, t, sched)
         if t > 0:
             z = rng.standard_normal((n, DATA_DIM))
             x = (mu.astype(np.float64) + np.sqrt(sched.beta[t]) * z).astype(np.float32)
@@ -63,7 +62,7 @@ def ddpm_sample_reference(model, n, sched, rng, compressed=False) -> Tensor:
             x = mu
     if not np.isfinite(x).all():
         raise TrainingError(f"sampling diverged: {np.count_nonzero(~np.isfinite(x))} non-finite coordinates")
-    return Tensor(x)
+    return x
 
 
 def model_checksum(model) -> str:

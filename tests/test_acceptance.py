@@ -97,9 +97,9 @@ def test_a03_compressed_path_matches_dense(rng, tmp_path):
         w = rng.standard_normal((rows, cols)).astype(np.float32)
         mask = project_mask(Tensor(w), NMPattern(2, 4))
         w_eff = w * mask
-        comp = compress_2_4(Tensor(w_eff), mask)
+        comp = compress_2_4(w_eff, mask)
         x = rng.standard_normal((8, cols)).astype(np.float32)
-        got = spmm(comp, Tensor(x)).data
+        got = spmm(comp, x)
         ref = x.astype(np.float64) @ w_eff.astype(np.float64).T
         worst = max(worst, float(np.abs(got - ref).max() / np.abs(ref).max()))
     assert worst <= 1e-5
@@ -138,12 +138,12 @@ def test_a04_ste_gradients_match_fd_at_effective_weights(rng):
     target = rng.standard_normal((5, 4)).astype(np.float32)
 
     cache = []
-    h = Tensor(x)
+    h = x
     for i, layer in enumerate(layers):
         h = masked_linear_forward(h, layer, cache)
         if i < len(layers) - 1:
             h = silu(h, cache)
-    grads = backward(cache, mse_grad(h, Tensor(target), 1.0))
+    grads = backward(cache, mse_grad(h, target, 1.0))
 
     # independent float64 forward as a function of the effective weights
     x64 = x.astype(np.float64)
@@ -181,7 +181,7 @@ def test_a05_regularized_update_decay_law(rng):
     lr, lam = 0.1, 0.01
     w = Tensor(rng.standard_normal((16, 16)).astype(np.float32) * 0.5)
     mask = project_mask(w, NMPattern(2, 4))
-    zero = Tensor(np.zeros((16, 16), dtype=np.float32))
+    zero = np.zeros((16, 16), dtype=np.float32)
     kept = mask == 1
     cur = w
     for _ in range(100):
@@ -222,10 +222,10 @@ def test_a07_transfer_quality_on_gauss8():
     for seed in (0, 1, 2):
         teacher = NoisePredictor.create(stream(seed, "init"))
         teacher, _ = transfer_train(teacher, None, ds, sched, TrainConfig(steps=2000, seed=seed))
-        ref = toy_batch(ds, n_eval, stream(seed, "eval")).data
+        ref = toy_batch(ds, n_eval, stream(seed, "eval"))
 
         def ed(model, seed=seed):
-            pts = ddpm_sample(model, n_eval, sched, stream(seed, "sample")).data
+            pts = ddpm_sample(model, n_eval, sched, stream(seed, "sample"))
             return energy_distance(pts, ref)
 
         untrained = teacher.copy()

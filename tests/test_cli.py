@@ -529,12 +529,20 @@ def _resize_rows(entries, layer, rows):
         entries[f"{layer}.{part}"] = (kind, arr[np.arange(rows) % len(arr)])
 
 
+def _resize_cols(entries, layer, cols):
+    """Give a layer ``cols`` input columns, cycling its existing ones."""
+    for part in ("weight", "mask"):
+        kind, arr = entries[f"{layer}.{part}"]
+        entries[f"{layer}.{part}"] = (kind, arr[:, np.arange(cols) % arr.shape[1]])
+
+
 def _set_pattern(meta, layer, pattern):
     next(rec for rec in meta["layers"] if rec["name"] == layer)["pattern"] = pattern
 
 
 @pytest.mark.parametrize(
-    "damage", ["mask-shape", "bias-length", "no-chain", "input-width", "output-width", "sidecar-architecture"]
+    "damage", ["mask-shape", "bias-length", "no-chain", "input-width", "output-width", "sidecar-architecture",
+               "odd-temb", "negative-temb"]
 )
 def test_inconsistent_layer_shapes_exit_4(runs, tmp_path, capsys, damage):
     def edit(entries, meta):
@@ -549,6 +557,11 @@ def test_inconsistent_layer_shapes_exit_4(runs, tmp_path, capsys, damage):
         elif damage == "sidecar-architecture":
             # the layers still chain; only the sidecar's description of them is wrong
             meta["architecture"].update(hidden=[7], data_dim=5)
+        elif damage.endswith("-temb"):
+            # fc1 reads 2 + temb_dim inputs, a width the time embedding (always even) cannot fill
+            temb = 65 if damage == "odd-temb" else -2
+            _resize_cols(entries, "fc1", 2 + temb)
+            meta["architecture"]["temb_dim"] = temb
         else:
             _resize_rows(entries, "fc3", 3)
 

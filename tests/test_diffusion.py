@@ -22,7 +22,7 @@ from sparsedm.diffusion import (
 from sparsedm.errors import ArchitectureError, CompressedPathError, ConfigError, DimensionError
 from sparsedm.sparsity import MaskedLinear, NMPattern
 from sparsedm.trainer import prune_one_shot
-from sparsedm.tensor import Tensor, backward, mse_grad
+from sparsedm.tensor import backward, mse_grad
 from sparsedm.rng import stream
 
 from conftest import assert_close_rel, ddpm_sample_reference, fd_grad
@@ -55,25 +55,24 @@ def test_schedule_rejects_bad_params(T, b0, b1):
 def test_q_sample_known_values():
     # beta 0.75 in one step puts alpha_bar at 0.25
     s = make_schedule(1, 0.75, 0.75)
-    x = q_sample(Tensor(np.array([[2.0, 0.0]], np.float32)), 0,
-                 Tensor(np.array([[0.0, 2.0]], np.float32)), s)
-    assert np.abs(x.data - [1.0, math.sqrt(3.0)]).max() <= 1e-6
+    x = q_sample(np.array([[2.0, 0.0]], np.float32), 0, np.array([[0.0, 2.0]], np.float32), s)
+    assert np.abs(x - [1.0, math.sqrt(3.0)]).max() <= 1e-6
 
 
 def test_q_sample_near_identity_at_tiny_beta():
     s = make_schedule(1, 1e-8, 1e-8)
-    x0 = Tensor(np.array([[1.5, -2.0]], np.float32))
-    x = q_sample(x0, 0, Tensor(np.array([[1.0, 1.0]], np.float32)), s)
-    assert np.abs(x.data - x0.data).max() <= 1e-3
+    x0 = np.array([[1.5, -2.0]], np.float32)
+    x = q_sample(x0, 0, np.array([[1.0, 1.0]], np.float32), s)
+    assert np.abs(x - x0).max() <= 1e-3
 
 
 def test_q_sample_variance_matches_schedule(rng):
     s = make_schedule(10, 1e-2, 0.3)
     t = 7
     n = 100_000
-    eps = Tensor(rng.standard_normal((n, 2)).astype(np.float32))
-    x = q_sample(Tensor(np.zeros((n, 2), np.float32)), t, eps, s)
-    var = x.data.astype(np.float64).var()
+    eps = rng.standard_normal((n, 2)).astype(np.float32)
+    x = q_sample(np.zeros((n, 2), np.float32), t, eps, s)
+    var = x.astype(np.float64).var()
     want = 1.0 - s.alpha_bar[t]
     assert abs(var - want) / want <= 0.05
 
@@ -81,19 +80,18 @@ def test_q_sample_variance_matches_schedule(rng):
 def test_q_sample_rejects_bad_t():
     s = make_schedule(4, 1e-4, 0.02)
     with pytest.raises(IndexError):
-        q_sample(Tensor(np.zeros((1, 2))), 4, Tensor(np.zeros((1, 2))), s)
+        q_sample(np.zeros((1, 2), np.float32), 4, np.zeros((1, 2), np.float32), s)
     with pytest.raises(IndexError):
-        q_sample(Tensor(np.zeros((1, 2))), -1, Tensor(np.zeros((1, 2))), s)
+        q_sample(np.zeros((1, 2), np.float32), -1, np.zeros((1, 2), np.float32), s)
 
 
 def test_posterior_mean_known_value():
     s = make_schedule(1, 0.25, 0.25)  # alpha = alpha_bar = 0.75 at t=0
-    mu = posterior_mean(Tensor(np.array([[1.0, 0.0]], np.float32)),
-                        Tensor(np.array([[1.0, 0.0]], np.float32)), 0, s)
+    mu = posterior_mean(np.array([[1.0, 0.0]], np.float32), np.array([[1.0, 0.0]], np.float32), 0, s)
     want = (1.0 / math.sqrt(0.75)) * (1.0 - 0.25 / math.sqrt(0.25))
-    assert abs(mu.data[0, 0] - want) <= 1e-6
+    assert abs(mu[0, 0] - want) <= 1e-6
     assert abs(want - 0.57735) <= 1e-5
-    assert mu.data[0, 1] == 0.0
+    assert mu[0, 1] == 0.0
 
 
 def test_posterior_mean_second_derivation(rng):
@@ -103,7 +101,7 @@ def test_posterior_mean_second_derivation(rng):
     for t in (1, 10, 49):
         x_t = rng.standard_normal((4, 2)).astype(np.float32)
         eps = rng.standard_normal((4, 2)).astype(np.float32)
-        got = posterior_mean(Tensor(x_t), Tensor(eps), t, s).data
+        got = posterior_mean(x_t, eps, t, s)
 
         ab_t = s.alpha_bar[t]
         ab_prev = s.alpha_bar[t - 1]
@@ -121,29 +119,29 @@ class _EpsOracle:
         self.eps = eps
 
     def forward(self, x, t, n_steps, cache=None):
-        return Tensor(self.eps)
+        return self.eps
 
 
 def test_loss_zero_for_exact_predictor(rng):
     s = make_schedule(10, 1e-4, 0.02)
-    batch = Tensor(rng.standard_normal((16, 2)).astype(np.float32))
+    batch = rng.standard_normal((16, 2)).astype(np.float32)
     probe = stream(0, "noise")
     t = probe.integers(0, s.T, size=16)
     eps = probe.standard_normal((16, 2))
     loss, _pred, _eps = diffusion_loss(_EpsOracle(eps.astype(np.float32)), batch, s, stream(0, "noise"))
-    assert float(loss.data) < 1e-8
+    assert float(loss) < 1e-8
 
 
 class _ZeroModel:
     def forward(self, x, t, n_steps, cache=None):
-        return Tensor(np.zeros((x.shape[0], 2), np.float32))
+        return np.zeros((x.shape[0], 2), np.float32)
 
 
 def test_loss_one_for_zero_predictor(rng):
     s = make_schedule(10, 1e-4, 0.02)
-    batch = Tensor(rng.standard_normal((50_000, 2)).astype(np.float32))
+    batch = rng.standard_normal((50_000, 2)).astype(np.float32)
     loss, _pred, _eps = diffusion_loss(_ZeroModel(), batch, s, rng)
-    assert abs(float(loss.data) - 1.0) <= 0.05
+    assert abs(float(loss) - 1.0) <= 0.05
 
 
 def _tiny_model(rng):
@@ -154,7 +152,7 @@ def _tiny_model(rng):
 def test_loss_grads_match_fd(rng):
     model = _tiny_model(rng)
     s = make_schedule(5, 1e-3, 0.05)
-    batch = Tensor(rng.standard_normal((8, 2)).astype(np.float32))
+    batch = rng.standard_normal((8, 2)).astype(np.float32)
 
     cache = []
     _loss, pred, eps_drawn = diffusion_loss(model, batch, s, stream(3, "noise"), cache)
@@ -164,9 +162,9 @@ def test_loss_grads_match_fd(rng):
     probe = stream(3, "noise")
     t = probe.integers(0, s.T, size=8)
     eps = probe.standard_normal(batch.shape)
-    x_t = q_sample(batch, t, Tensor(eps), s)
+    x_t = q_sample(batch, t, eps.astype(np.float32), s)
     temb = time_embedding(np.broadcast_to(t, (8,)), s.T, 4)
-    h0 = np.concatenate([x_t.data, temb], axis=1).astype(np.float64)
+    h0 = np.concatenate([x_t, temb], axis=1).astype(np.float64)
 
     def loss64(w1, b1, w2, b2):
         h = h0 @ w1.T + b1
@@ -200,7 +198,7 @@ def test_time_embedding_shape_and_range():
 
 def test_predictor_forward_shape(rng):
     model = NoisePredictor.create(stream(0, "init"), hidden=(32,))
-    out = model.forward(Tensor(rng.standard_normal((5, 2)).astype(np.float32)), 3, 10)
+    out = model.forward(rng.standard_normal((5, 2)).astype(np.float32), 3, 10)
     assert out.shape == (5, 2)
 
 
@@ -219,7 +217,7 @@ def test_temb_table_equals_per_batch_embedding(T):
 @pytest.mark.parametrize("t", [-1, 10, [0, 3, 10, 1, 2], [0, -1, 1, 2, 3]])
 def test_predictor_forward_rejects_out_of_range_t(rng, t):
     model = NoisePredictor.create(stream(0, "init"), hidden=(32,))
-    x = Tensor(rng.standard_normal((5, 2)).astype(np.float32))
+    x = rng.standard_normal((5, 2)).astype(np.float32)
     with pytest.raises(IndexError):
         model.forward(x, t, 10)
     with pytest.raises(IndexError):
@@ -229,6 +227,13 @@ def test_predictor_forward_rejects_out_of_range_t(rng, t):
 def test_create_rejects_indivisible_hidden():
     with pytest.raises(ArchitectureError):
         NoisePredictor.create(stream(0, "init"), hidden=(100,))
+
+
+@pytest.mark.parametrize("temb_dim", [65, -2, 64.0, True])
+def test_create_rejects_temb_dim_the_embedding_cannot_fill(temb_dim):
+    # time_embedding is 2 * (dim // 2) wide, so fc1 would never get its input width
+    with pytest.raises(ArchitectureError):
+        NoisePredictor.create(stream(0, "init"), hidden=(32,), temb_dim=temb_dim)
 
 
 def test_sampler_empty():
@@ -241,8 +246,8 @@ def test_sampler_empty():
 def test_sampler_deterministic():
     model = NoisePredictor.create(stream(7, "init"), hidden=(32,))
     s = make_schedule(20, 1e-4, 0.02)
-    a = ddpm_sample(model, 16, s, stream(5, "sample")).data
-    b = ddpm_sample(model, 16, s, stream(5, "sample")).data
+    a = ddpm_sample(model, 16, s, stream(5, "sample"))
+    b = ddpm_sample(model, 16, s, stream(5, "sample"))
     assert a.tobytes() == b.tobytes()
 
 
@@ -270,7 +275,7 @@ def test_sampler_matches_serial_reference(monkeypatch, cpus, kind):
     chunks = []  # rows of each chunk's posterior_mean calls
 
     def recording(x_t, *args):
-        chunks.append(len(x_t.data))
+        chunks.append(len(x_t))
         return posterior_mean(x_t, *args)
 
     _pin_cpus(monkeypatch, cpus)
@@ -278,8 +283,8 @@ def test_sampler_matches_serial_reference(monkeypatch, cpus, kind):
     for n in (0, 1, 255, 511, 512, 513, 1025, 2000, 2049):
         chunks.clear()
         rng, ref_rng = stream(n, "sample"), stream(n, "sample")
-        out = ddpm_sample(model, n, s, rng, compressed=kind == "compressed").data
-        ref = ddpm_sample_reference(model, n, s, ref_rng, compressed=kind == "compressed").data
+        out = ddpm_sample(model, n, s, rng, compressed=kind == "compressed")
+        ref = ddpm_sample_reference(model, n, s, ref_rng, compressed=kind == "compressed")
         assert out.dtype == ref.dtype and out.shape == ref.shape == (n, 2)
         assert out.tobytes() == ref.tobytes(), n
         assert rng.standard_normal(3).tobytes() == ref_rng.standard_normal(3).tobytes(), n
@@ -329,8 +334,8 @@ class _GaussOracle:
     def forward(self, x, t, n_steps, cache=None):
         t = int(np.asarray(t).reshape(-1)[0]) if np.ndim(t) else int(t)
         ab = self.sched.alpha_bar[t]
-        out = (x.data.astype(np.float64) - math.sqrt(ab) * self.center) * math.sqrt(1 - ab)
-        return Tensor(out)
+        out = (x.astype(np.float64) - math.sqrt(ab) * self.center) * math.sqrt(1 - ab)
+        return out.astype(np.float32)
 
 
 def test_sampler_recovers_gaussian_mean():
@@ -339,20 +344,20 @@ def test_sampler_recovers_gaussian_mean():
     s = make_schedule(100, 1e-3, 0.2)
     center = np.array([1.0, -2.0])
     n = 4096
-    out = ddpm_sample(_GaussOracle(center, s), n, s, stream(11, "sample")).data.astype(np.float64)
+    out = ddpm_sample(_GaussOracle(center, s), n, s, stream(11, "sample")).astype(np.float64)
     sd = out.std(axis=0)
     assert np.all(np.abs(out.mean(axis=0) - center) <= 3 * sd / math.sqrt(n))
 
 
 @pytest.mark.parametrize("kind", ["gauss8", "swiss_roll", "checkerboard"])
 def test_dataset_moments(kind):
-    pts = toy_batch(kind, 60_000, stream(1, "data")).data.astype(np.float64)
+    pts = toy_batch(kind, 60_000, stream(1, "data")).astype(np.float64)
     assert np.abs(pts.mean(axis=0)).max() <= 0.1
     assert np.abs(pts.std(axis=0) - 1.0).max() <= 0.1
 
 
 def test_gauss8_modes_cluster():
-    pts = toy_batch("gauss8", 8000, stream(2, "data")).data.astype(np.float64)
+    pts = toy_batch("gauss8", 8000, stream(2, "data")).astype(np.float64)
     r = 1.0 / math.sqrt(0.51)
     angles = np.arange(8) * (2 * math.pi / 8)
     centers = r * np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -365,8 +370,8 @@ def test_gauss8_modes_cluster():
 
 
 def test_dataset_seed_determinism():
-    a = toy_batch("swiss_roll", 64, stream(9, "data")).data
-    b = toy_batch("swiss_roll", 64, stream(9, "data")).data
+    a = toy_batch("swiss_roll", 64, stream(9, "data"))
+    b = toy_batch("swiss_roll", 64, stream(9, "data"))
     assert a.tobytes() == b.tobytes()
 
 

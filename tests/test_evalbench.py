@@ -22,7 +22,6 @@ from sparsedm.evalbench import (
 )
 from sparsedm.rng import stream
 from sparsedm.sparsity import MaskedLinear, NMPattern, project_mask
-from sparsedm.tensor import Tensor
 from sparsedm.trainer import TrainConfig, prune_one_shot, transfer_train
 
 
@@ -114,8 +113,8 @@ def test_energy_distance_symmetric_permutation_invariant(seed):
 def test_pairwise_distance_blocks_stay_bounded(monkeypatch):
     real, sizes = evalbench._pair_distances, []
 
-    def recording(a, b):
-        d = real(a, b)
+    def recording(a, b, *buffers):
+        d = real(a, b, *buffers)
         sizes.append(d.size)
         return d
 
@@ -147,7 +146,8 @@ def test_mean_pairwise_matches_one_cdist(n, m, dim, log_scale, dups, seed):
     a[: k // 2] = a[-1]
     # each distance, not only the sum, which can absorb a last-bit difference
     first = a[: max(1, PAIRWISE_BLOCK // m)]
-    assert np.array_equal(evalbench._pair_distances(first, b), cdist(first, b))
+    d, diff = np.empty((2, len(first), m))
+    assert np.array_equal(evalbench._pair_distances(first, b, d, diff), cdist(first, b))
     assert _mean_pairwise(a, b) == _blockwise_cdist_mean(a, b)
 
 
@@ -218,7 +218,7 @@ def test_sweep_samples_teacher_bank_once(monkeypatch, lambda1, banks):
 def test_sweep_computes_reference_self_term_once(monkeypatch):
     """Every entry scores against one reference set, so its E|B-B'| is computed once per sweep."""
     teacher, sched, config = _small_sweep(0.0)
-    ref = toy_batch("gauss8", 16, stream(config.seed, "eval")).data.astype(np.float64)
+    ref = toy_batch("gauss8", 16, stream(config.seed, "eval")).astype(np.float64)
     on_ref = []
 
     def counting(a, b):
@@ -230,7 +230,7 @@ def test_sweep_computes_reference_self_term_once(monkeypatch):
                         n_eval=16)
     assert sum(on_ref) == 1 and len(rows) == 3
     # the term handed in gives the very float the call would compute
-    a = ddpm_sample(teacher, 16, sched, stream(0, "sample")).data
+    a = ddpm_sample(teacher, 16, sched, stream(0, "sample"))
     assert energy_distance(a, ref, _mean_pairwise(ref, ref)) == energy_distance(a, ref)
 
 

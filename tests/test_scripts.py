@@ -57,11 +57,15 @@ def test_benchmark_tracer_finds_its_hooks(tmp_path):
         # the spmm counters read Compressed24.rows and .cols
         assert main(["sample", "--out", str(tmp_path / "s"), "--ckpt", str(tmp_path / "p"),
                      "--n", "4", "--compressed"]) == 0
+        # the projection counter reads the weight's .data.size, so project_mask must get a Tensor
+        assert main(["prune", "--out", str(tmp_path / "p2"), "--ckpt", str(tmp_path / "d")]) == 0
     finally:
         tracer.uninstall()
     assert sparsity.project_mask is original
     macs = tracer.counts["sparsity.spmm.macs"]
     assert macs > 0 and 2 * macs == tracer.counts["sparsity.spmm.dense_macs"]
+    # fc2 (32 -> 2) is the one layer 2:4 fits: 2 rows of 32 inputs make 16 groups
+    assert tracer.counts["sparsity.project_mask.groups"] == 16
 
 
 # runs in a fresh interpreter, because this one already has scipy loaded

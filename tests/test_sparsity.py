@@ -67,8 +67,8 @@ def test_project_rejects_indivisible_width():
 def test_masked_weight_zero_count(rng):
     w = Tensor(rng.standard_normal((4, 8)).astype(np.float32))
     m = project_mask(w, NMPattern(2, 4))
-    wt = Tensor(w.data * m)
-    assert (wt.data == 0).sum() >= (m == 0).sum()
+    wt = w.data * m
+    assert (wt == 0).sum() >= (m == 0).sum()
 
 
 def _brute_best_sum(group, n):
@@ -110,13 +110,13 @@ def test_masked_linear_all_ones_equals_plain(rng):
     layer = MaskedLinear.dense("l", 8, 3, rng)
     x0 = rng.standard_normal((5, 8)).astype(np.float32)
     cache = []
-    out = masked_linear_forward(Tensor(x0), layer, cache)
+    out = masked_linear_forward(x0, layer, cache)
     ref = (x0.astype(np.float64) @ layer.weight.data.astype(np.float64).T
            + layer.bias.data.astype(np.float64)).astype(np.float32)
-    assert np.array_equal(out.data, ref)
-    [(gw, gb)] = backward(cache, mse_grad(out, Tensor(np.zeros((5, 3), np.float32)), 1.0))
+    assert np.array_equal(out, ref)
+    [(gw, gb)] = backward(cache, mse_grad(out, np.zeros((5, 3), np.float32), 1.0))
     # plain-linear gradients of mean(out**2): with dy = (2/N) out, dW = dy^T x and db = batch sums of dy
-    dy = (2 / out.size) * out.data.astype(np.float64)
+    dy = (2 / out.size) * out.astype(np.float64)
     assert np.allclose(gw.astype(np.float32), dy.T @ x0.astype(np.float64), atol=1e-4)
     assert np.array_equal(gb.astype(np.float32), dy.sum(axis=0).astype(np.float32))
 
@@ -124,8 +124,8 @@ def test_masked_linear_all_ones_equals_plain(rng):
 def test_masked_linear_zeroed_output_row_is_bias(rng):
     layer = MaskedLinear.dense("l", 4, 2, rng)
     layer.mask[1, :] = 0
-    out = masked_linear_forward(Tensor(rng.standard_normal((3, 4)).astype(np.float32)), layer)
-    assert np.allclose(out.data[:, 1], layer.bias.data[1])
+    out = masked_linear_forward(rng.standard_normal((3, 4)).astype(np.float32), layer)
+    assert np.allclose(out[:, 1], layer.bias.data[1])
 
 
 def test_ste_weight_grad_matches_fd_at_effective_weight(rng):
@@ -138,8 +138,8 @@ def test_ste_weight_grad_matches_fd_at_effective_weight(rng):
     t0 = rng.standard_normal((6, 3)).astype(np.float32)
 
     cache = []
-    out = masked_linear_forward(Tensor(x0), layer, cache)
-    [(gw, _gb)] = backward(cache, mse_grad(out, Tensor(t0), 1.0))
+    out = masked_linear_forward(x0, layer, cache)
+    [(gw, _gb)] = backward(cache, mse_grad(out, t0, 1.0))
     g = gw.astype(np.float32)
 
     w_eff = layer.effective_weight().astype(np.float64)
@@ -157,7 +157,7 @@ def test_ste_weight_grad_matches_fd_at_effective_weight(rng):
 
 
 def test_compress_known_row():
-    w = Tensor(np.array([[0.0, 5.0, 0.0, 7.0]], np.float32))
+    w = np.array([[0.0, 5.0, 0.0, 7.0]], np.float32)
     csr = compress_2_4(w, np.array([[0, 1, 0, 1]], np.uint8)).csr
     assert csr.data.dtype == np.float64 and np.array_equal(csr.data, [5.0, 7.0])
     assert np.array_equal(csr.indices, [1, 3])
@@ -165,7 +165,7 @@ def test_compress_known_row():
 
 
 def test_compress_zero_values_uses_mask_positions():
-    w = Tensor(np.zeros((1, 4), np.float32))
+    w = np.zeros((1, 4), np.float32)
     mask = np.array([[1, 0, 0, 1]], np.uint8)
     csr = compress_2_4(w, mask).csr
     assert csr.nnz == 2 and np.array_equal(csr.data, np.zeros(2))
@@ -177,19 +177,19 @@ def test_compress_roundtrip_random(rng):
     for _ in range(5):
         w = Tensor(rng.standard_normal((64, 64)).astype(np.float32))
         mask = project_mask(w, NMPattern(2, 4))
-        wt = Tensor(w.data * mask)
+        wt = w.data * mask
         back = compress_2_4(wt, mask).csr.toarray()
-        assert np.array_equal(back, wt.data)
+        assert np.array_equal(back, wt)
 
 
 def test_compress_rejects_overfull_group():
-    w = Tensor(np.array([[1.0, 2.0, 3.0, 0.0]], np.float32))
+    w = np.array([[1.0, 2.0, 3.0, 0.0]], np.float32)
     with pytest.raises(CompressionError):
         compress_2_4(w, np.array([[1, 1, 1, 0]], np.uint8))
 
 
 def test_compress_rejects_value_outside_mask():
-    w = Tensor(np.array([[1.0, 2.0, 3.0, 0.0]], np.float32))
+    w = np.array([[1.0, 2.0, 3.0, 0.0]], np.float32)
     mask = np.array([[1, 1, 0, 0]], np.uint8)
     with pytest.raises(CompressionError):
         compress_2_4(w, mask)
@@ -197,7 +197,7 @@ def test_compress_rejects_value_outside_mask():
 
 def test_compress_rejects_indivisible_cols():
     with pytest.raises(PatternError):
-        compress_2_4(Tensor(np.zeros((2, 6), np.float32)), np.ones((2, 6), np.uint8))
+        compress_2_4(np.zeros((2, 6), np.float32), np.ones((2, 6), np.uint8))
 
 
 def test_spmm_identity_like_selects_inputs():
@@ -206,10 +206,10 @@ def test_spmm_identity_like_selects_inputs():
     w[0, 1] = 1.0
     w[1, 3] = 1.0
     mask = np.array([[1, 1, 0, 0], [0, 0, 1, 1]], np.uint8)
-    c = compress_2_4(Tensor(w), mask)
-    x = Tensor(np.arange(8, dtype=np.float32).reshape(2, 4))
+    c = compress_2_4(w, mask)
+    x = np.arange(8, dtype=np.float32).reshape(2, 4)
     out = spmm(c, x)
-    assert np.array_equal(out.data, x.data[:, [1, 3]])
+    assert np.array_equal(out, x[:, [1, 3]])
 
 
 # the model's compressed layers at training, sampling and single-point batches
@@ -218,10 +218,10 @@ def test_spmm_identity_like_selects_inputs():
 def test_spmm_matches_dense_masked_matmul(rng, batch, n_in, n_out):
     w = Tensor(rng.standard_normal((n_out, n_in)).astype(np.float32))
     mask = project_mask(w, NMPattern(2, 4))
-    wt = Tensor(w.data * mask)
+    wt = w.data * mask
     x = rng.standard_normal((batch, n_in)).astype(np.float32)
-    dense = (x.astype(np.float64) @ wt.data.astype(np.float64).T).astype(np.float32)
-    got = spmm(compress_2_4(wt, mask), Tensor(x)).data
+    dense = (x.astype(np.float64) @ wt.astype(np.float64).T).astype(np.float32)
+    got = spmm(compress_2_4(wt, mask), x)
     scale = np.abs(dense).max()
     assert np.abs(got - dense).max() / scale <= 1e-5
 
@@ -313,6 +313,6 @@ def test_compressed_linear_forward_matches_masked(rng):
     layer.mask = project_mask(layer.weight, NMPattern(2, 4))
     comp = CompressedLinear.from_masked(layer)
     assert (comp.in_features, comp.out_features) == (16, 8)
-    x = Tensor(rng.standard_normal((5, 16)).astype(np.float32))
-    got = masked_linear_forward(x, comp).data
-    assert np.abs(got - masked_linear_forward(x, layer).data).max() <= 1e-5
+    x = rng.standard_normal((5, 16)).astype(np.float32)
+    got = masked_linear_forward(x, comp)
+    assert np.abs(got - masked_linear_forward(x, layer)).max() <= 1e-5

@@ -33,13 +33,13 @@ def _stack_grads(x, params, target, weight=1.0):
     the float32-cast (dW, db) per layer.
     """
     cache = []
-    h = Tensor(x)
+    h = x
     for i, (w, b) in enumerate(params):
-        cache.append((h.data, w))
+        cache.append((h, w))
         h = linear_ste(h, Tensor(w), Tensor(b), w)
         if i < len(params) - 1:
             h = silu(h, cache)
-    grads = backward(cache, mse_grad(h, Tensor(target), weight))
+    grads = backward(cache, mse_grad(h, target, weight))
     return h, [(gw.astype(np.float32), gb.astype(np.float32)) for gw, gb in grads]
 
 
@@ -53,15 +53,15 @@ def _silu_input_grad(x):
     row = x[None, :]
     eye = np.eye(x.size, dtype=np.float32)
     cache = [(row, eye)]
-    out = silu(Tensor(row), cache)
-    cache.append((out.data, eye))
-    grads = backward(cache, mse_grad(out, Tensor(np.zeros_like(row)), 1.0))
-    return out.data[0], grads[0][1].astype(np.float32)
+    out = silu(row, cache)
+    cache.append((out, eye))
+    grads = backward(cache, mse_grad(out, np.zeros_like(row), 1.0))
+    return out[0], grads[0][1].astype(np.float32)
 
 
 def _dmean_square(x):
     # mean(x**2) is mse against a zero target; its gradient wrt x is (2/N) x in float64
-    return (2 / x.size) * x.data.astype(np.float64)
+    return (2 / x.size) * x.astype(np.float64)
 
 
 def test_matmul_against_triple_loop(rng):
@@ -69,7 +69,7 @@ def test_matmul_against_triple_loop(rng):
     x = rng.standard_normal((5, 7)).astype(np.float32)
     w = rng.standard_normal((3, 7)).astype(np.float32)
     b = rng.standard_normal(3).astype(np.float32)
-    out = _linear(Tensor(x), Tensor(w), Tensor(b)).data
+    out = _linear(x, Tensor(w), Tensor(b))
     ref = np.zeros((5, 3), dtype=np.float64)
     for i in range(5):
         for j in range(3):
@@ -81,20 +81,20 @@ def test_matmul_against_triple_loop(rng):
 
 def test_add_bias_values():
     # through an identity weight linear_ste adds the bias exactly
-    x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    x = np.array([[1.0, 2.0], [3.0, 4.0]], np.float32)
     b = Tensor(np.array([10.0, 20.0]))
-    out = _linear(x, Tensor(np.eye(2)), b).data
+    out = _linear(x, Tensor(np.eye(2)), b)
     assert np.array_equal(out, np.array([[11.0, 22.0], [13.0, 24.0]], np.float32))
 
 
 def test_linear_shape_mismatch():
     w = Tensor(np.zeros((2, 3)))
     with pytest.raises(DimensionError):
-        _linear(Tensor(np.zeros((2, 4))), w, Tensor(np.zeros(2)))
+        _linear(np.zeros((2, 4), np.float32), w, Tensor(np.zeros(2)))
     with pytest.raises(DimensionError):
-        _linear(Tensor(np.zeros((2, 3))), w, Tensor(np.zeros(3)))
+        _linear(np.zeros((2, 3), np.float32), w, Tensor(np.zeros(3)))
     with pytest.raises(DimensionError):
-        linear_ste(Tensor(np.zeros((2, 3))), w, Tensor(np.zeros(2)), np.zeros((3, 2), np.float32))
+        linear_ste(np.zeros((2, 3), np.float32), w, Tensor(np.zeros(2)), np.zeros((3, 2), np.float32))
 
 
 def test_bias_grad_sums_over_batch(rng):
@@ -106,7 +106,7 @@ def test_bias_grad_sums_over_batch(rng):
 
 
 def test_silu_zero():
-    assert silu(Tensor(np.array(0.0))).data == 0.0
+    assert silu(np.array(0.0, np.float32)) == 0.0
 
 
 SIGMOID_EDGES = np.array([
@@ -149,10 +149,10 @@ def test_silu_blocks_match_whole_array_reference(rng, shape):
     x64 = x.astype(np.float64)
     sig = sigmoid64_reference(x64)
     want = (x64 * sig).astype(np.float32)
-    assert silu(Tensor(x)).data.tobytes() == want.tobytes()
+    assert silu(x).tobytes() == want.tobytes()
     cache = []
-    out = silu(Tensor(x), cache)
-    assert out.shape == shape and out.data.tobytes() == want.tobytes()
+    out = silu(x, cache)
+    assert out.shape == shape and out.tobytes() == want.tobytes()
     [(_x, got_sig)] = cache
     assert got_sig.shape == shape and got_sig.tobytes() == sig.tobytes()
 
@@ -186,20 +186,20 @@ def test_silu_derivative_fd():
 
 
 def test_mse_trivial_cases():
-    t = Tensor(np.array([1.0, 1.0], np.float32))
-    assert mse_loss(t, t).data == 0.0
-    assert mse_loss(Tensor(np.array([1.0, 1.0])), Tensor(np.array([0.0, 0.0]))).data == 1.0
+    t = np.array([1.0, 1.0], np.float32)
+    assert mse_loss(t, t) == 0.0
+    assert mse_loss(np.array([1.0, 1.0], np.float32), np.array([0.0, 0.0], np.float32)) == 1.0
 
 
 def test_mse_is_scalar_shaped():
-    out = mse_loss(Tensor(np.ones((3, 2))), Tensor(np.zeros((3, 2))))
-    assert out.shape == ()
+    out = mse_loss(np.ones((3, 2), np.float32), np.zeros((3, 2), np.float32))
+    assert out.shape == () and out.dtype == np.float32
 
 
 def test_mse_grad_fd(rng):
     p0 = rng.standard_normal((3, 2)).astype(np.float32)
     t0 = rng.standard_normal((3, 2)).astype(np.float32)
-    g = mse_grad(Tensor(p0), Tensor(t0), 1.0).astype(np.float32)
+    g = mse_grad(p0, t0, 1.0).astype(np.float32)
 
     def f(v):
         return float(((v - t0.astype(np.float64)) ** 2).mean())
@@ -260,7 +260,7 @@ def test_forward_backward_deterministic(rng):
 
     def once():
         out, grads = _stack_grads(x0, params, target)
-        return mse_loss(out, Tensor(target)).data.tobytes(), grads[0][0].tobytes()
+        return mse_loss(out, target).tobytes(), grads[0][0].tobytes()
 
     assert once() == once()
 

@@ -35,7 +35,7 @@ def _checksum(model):
 def test_ste_update_zero_grad_decay(rng):
     w0 = rng.standard_normal((4, 8)).astype(np.float32)
     mask = project_mask(Tensor(w0), NMPattern(2, 4))
-    zero = Tensor(np.zeros_like(w0))
+    zero = np.zeros_like(w0)
     lr, lam = 0.1, 0.05
     w = ste_update(Tensor(w0), zero, mask, lr, lam)
     kept = mask == 1
@@ -50,8 +50,8 @@ def test_ste_update_kept_positions_match_unregularized(rng):
     w0 = rng.standard_normal((4, 8)).astype(np.float32)
     g0 = rng.standard_normal((4, 8)).astype(np.float32)
     mask = project_mask(Tensor(w0), NMPattern(1, 4))
-    with_reg = ste_update(Tensor(w0), Tensor(g0), mask, 0.07, 0.3)
-    without = ste_update(Tensor(w0), Tensor(g0), mask, 0.07, 0.0)
+    with_reg = ste_update(Tensor(w0), g0, mask, 0.07, 0.3)
+    without = ste_update(Tensor(w0), g0, mask, 0.07, 0.0)
     kept = mask == 1
     assert np.array_equal(with_reg.data[kept], without.data[kept])
     assert not np.array_equal(with_reg.data[~kept], without.data[~kept])
@@ -59,7 +59,7 @@ def test_ste_update_kept_positions_match_unregularized(rng):
 
 def test_ste_update_single_row_hand_values():
     w = Tensor(np.array([[1.0, -2.0, 0.5, 4.0]], np.float32))
-    g = Tensor(np.array([[0.1, 0.2, -0.3, 0.4]], np.float32))
+    g = np.array([[0.1, 0.2, -0.3, 0.4]], np.float32)
     mask = np.array([[0, 1, 0, 1]], np.uint8)
     lr, lam = 0.01, 0.5
     got = ste_update(w, g, mask, lr, lam).data
@@ -75,7 +75,7 @@ def test_ste_update_matches_closed_form_random(rng):
     g0 = rng.standard_normal((8, 16)).astype(np.float32)
     mask = project_mask(Tensor(w0), NMPattern(2, 4))
     lr, lam = 0.03, 0.02
-    got = ste_update(Tensor(w0), Tensor(g0), mask, lr, lam).data
+    got = ste_update(Tensor(w0), g0, mask, lr, lam).data
     w64 = w0.astype(np.float64)
     want = w64 - lr * (g0.astype(np.float64) + lam * (w64 - w64 * mask))
     assert np.abs(got.astype(np.float64) - want).max() <= 1e-6
@@ -83,12 +83,12 @@ def test_ste_update_matches_closed_form_random(rng):
 
 def test_ste_update_rejects_bad_args(rng):
     w = Tensor(rng.standard_normal((2, 4)).astype(np.float32))
-    g = Tensor(np.zeros((2, 4), np.float32))
+    g = np.zeros((2, 4), np.float32)
     mask = np.ones((2, 4), np.uint8)
     with pytest.raises(ConfigError):
         ste_update(w, g, mask, 0.1, -1.0)
     with pytest.raises(Exception):
-        ste_update(w, Tensor(np.zeros((4, 2), np.float32)), mask, 0.1, 0.0)
+        ste_update(w, np.zeros((4, 2), np.float32), mask, 0.1, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +175,7 @@ def test_prune_2_4_skips_first_layer_halves_rest():
     assert model.layers[0].mask.all()
     for layer in model.layers[1:]:
         assert layer.pattern == NMPattern(2, 4)
-        assert (layer.mask == 1).sum() == layer.weight.size // 2
+        assert (layer.mask == 1).sum() == layer.weight.data.size // 2
 
 
 def test_prune_strict_errors_on_skip():
@@ -367,7 +367,7 @@ def test_transfer_reduces_to_vanilla_ste_short():
             batch = toy_batch("gauss8", config.batch_size, data_rng)
             cache = []
             loss, pred, eps = diffusion_loss(ref, batch, sched, noise_rng, cache)
-            losses.append(float(loss.data))
+            losses.append(float(loss))
             grads = backward(cache, mse_grad(pred, eps, 1.0))
             for layer, (gw, gb) in zip(ref.layers, grads):
                 # the gradient rounds to float32 before the update, as in training
@@ -406,12 +406,12 @@ def test_two_branch_grads_sum_to_fd_of_weighted_loss(depth, lam1, lam2, seed):
     grads = []
     for x, t, target, lam in zip(xs, ts, targets, lams):
         cache = []
-        out = model.forward(Tensor(x), t, n_steps, cache)
-        grads.append(backward(cache, mse_grad(out, Tensor(target), lam)))
+        out = model.forward(x, t, n_steps, cache)
+        grads.append(backward(cache, mse_grad(out, target, lam)))
     step = model.copy()
     for layer in step.layers:
-        layer.weight = Tensor.zeros(layer.weight.shape)
-        layer.bias = Tensor.zeros(layer.bias.shape)
+        layer.weight = Tensor(np.zeros(layer.weight.shape))
+        layer.bias = Tensor(np.zeros(layer.bias.shape))
     _apply_grads(step, grads, lr=1.0, lambda_w=0.0)
 
     # independent float64 loss of the effective weights, so pruned positions get the STE gradient
