@@ -225,6 +225,11 @@ def _one_blas_thread():
         put(saved)
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one, else the CPU count."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _sample_chunks(fwd, sched: NoiseSchedule, rng: np.random.Generator, n: int, w: int) -> np.ndarray:
     """Run w contiguous row chunks of the reverse chain at once, one per thread.
 
@@ -263,8 +268,7 @@ def ddpm_sample(
     if n < 0:
         raise ConfigError(f"sample count must be >= 0, got {n}")
     fwd = inference_forward(model, sched.T, compressed)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    w = max(1, min(cpus, n // SAMPLE_CHUNK_ROWS))
+    w = max(1, min(usable_cpus(), n // SAMPLE_CHUNK_ROWS))
     x = _reverse_chain(fwd, sched, rng, n, 0, n) if w == 1 else _sample_chunks(fwd, sched, rng, n, w)
     if not np.isfinite(x).all():
         raise TrainingError(f"sampling diverged: {np.count_nonzero(~np.isfinite(x))} non-finite coordinates")

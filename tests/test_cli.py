@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -779,3 +781,103 @@ def test_config_fuzz_exits_with_documented_code(runs, case):
             assert not out_dir.exists()
         else:
             assert err.getvalue() == "" and (out_dir / "config.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# the distillation branch in a forked worker
+# ---------------------------------------------------------------------------
+
+def _count_forks(monkeypatch) -> list:
+    """Record each os.fork call in the returned list; the forks still happen."""
+    forks, real = [], os.fork
+
+    def counted():
+        forks.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+# options of each run; every run is long enough (16 steps) that two CPUs start the worker
+WORKER_RUNS = {
+    "mix-0.5-0.5": [],
+    "mix-0.3-0.7": ["--lambda1", "0.3", "--lambda2", "0.7"],
+    "progressive": ["--progressive", "4:4,2:4", "--switch-every", "8"],
+    "freeze-masks": ["--freeze-masks"],
+    "transposable": [],
+    "sweep": ["--patterns", "2:4,1:4", "--n-eval", "32"],
+}
+
+
+@pytest.mark.parametrize("run", list(WORKER_RUNS))
+def test_worker_changes_no_byte(runs, tmp_path, monkeypatch, run):
+    """One CPU runs the distillation branch in this process, two in a forked worker; the bytes agree."""
+    if run == "sweep":
+        argv = ["sweep", "--ckpt", str(runs["dense"])]
+    else:
+        student = runs["pruned"]
+        if run == "transposable":
+            student = tmp_path / "pt"
+            assert main(["prune", "--out", str(student), "--ckpt", str(runs["dense"]), "--transposable"]) == 0
+        argv = ["train-sparse", "--student", str(student), "--teacher", str(runs["dense"])]
+    argv += WORKER_RUNS[run] + ["--steps", "16", "--batch-size", "16", "--teacher-bank", "64"]
+    forks = _count_forks(monkeypatch)
+    digests = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: c, raising=False)
+        out = tmp_path / f"cpus{len(cpus)}"
+        assert main(argv + ["--out", str(out)]) == 0
+        digests.append(sorted((p.name, file_checksum(p)) for p in out.iterdir() if p.name != "config.json"))
+        # one worker per training run on two CPUs, none on one
+        assert len(forks) == (0 if len(cpus) == 1 else 2 if run == "sweep" else 1)
+    assert digests[0] == digests[1]
+
+
+def test_divergence_with_worker_leaves_no_process(runs, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forks = _count_forks(monkeypatch)
+    capsys.readouterr()
+    assert main(["train-sparse", "--out", str(tmp_path / "x"), "--student", str(runs["pruned"]),
+                 "--teacher", str(runs["dense"]), "--steps", "16", "--batch-size", "16",
+                 "--teacher-bank", "64", "--lr", "1e6", "--lr-schedule", "constant"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(forks) == 1
+    assert len(lines) == 1 and lines[0].startswith("error: loss diverged")
+    assert not (tmp_path / "x").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# the worker's branch raises in the worker only, at the step given first; the parent must exit 1, not hang
+DYING_WORKER = """
+import os, sys
+from sparsedm import trainer
+from sparsedm.cli import main
+
+parent, real, fatal = os.getpid(), trainer._distill_branch, int(sys.argv[1])
+
+def dying(*args, **kwargs):
+    for step, item in enumerate(real(*args, **kwargs)):
+        if step == fatal and os.getpid() != parent:
+            raise RuntimeError("worker fault")
+        yield item
+
+trainer._distill_branch = dying
+os.sched_getaffinity = lambda pid: {0, 1}
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("fatal", [0, 15], ids=["first-step", "last-step"])
+def test_dying_worker_exits_1(runs, tmp_path, fatal):
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    argv = ["train-sparse", "--out", str(tmp_path / "x"), "--student", str(runs["pruned"]),
+            "--teacher", str(runs["dense"]), "--steps", "16", "--batch-size", "16", "--teacher-bank", "64"]
+    proc = subprocess.run([sys.executable, "-c", DYING_WORKER, str(fatal), *argv], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.splitlines() == ["error: the distillation worker exited with code 1"]
+    assert not (tmp_path / "x").exists()

@@ -1,6 +1,6 @@
 """The driver scripts run end to end on a tiny budget, the benchmark's tracer finds its hooks, a
 fresh CLI process imports scipy only for compressed sampling, keeps its freed heap mapped, and
-its samples do not depend on how many CPUs it may use."""
+its samples and transfer training do not depend on how many CPUs it may use."""
 import ctypes
 import hashlib
 import importlib.util
@@ -21,7 +21,7 @@ def _run_python(args, cwd):
     """Run a fresh interpreter with src/ importable; it must exit 0."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -141,3 +141,33 @@ def test_samples_do_not_depend_on_cpu_count(tmp_path):
     _run_python(["-c", PINNED_SAMPLE, "all", "free"], tmp_path)
     one, every = (hashlib.sha256((tmp_path / d / "samples.csv").read_bytes()).hexdigest() for d in ("one", "all"))
     assert one == every
+
+
+# pins this process to one CPU when asked, then transfer-trains long enough for two CPUs to start the
+# worker; "crowd" pins it but reports two CPUs, so the worker and this process share one core
+PINNED_TRAIN = """
+import os, sys
+from sparsedm.cli import main
+
+out, mode = sys.argv[1], sys.argv[2]
+if mode != "free":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+assert len(os.sched_getaffinity(0)) == 1 or mode == "free"
+if mode == "crowd":
+    os.sched_getaffinity = lambda pid: {0, 1}
+assert main(["train-sparse", "--out", out, "--student", "p", "--teacher", "d", "--steps", "24",
+             "--batch-size", "16", "--teacher-bank", "64"]) == 0
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+def test_transfer_training_does_not_depend_on_cpu_count(tmp_path):
+    """One CPU runs the distillation branch in-process, several in a forked worker; the files are the same."""
+    assert main(["train-dense", "--out", str(tmp_path / "d"), "--steps", "4", "--batch-size", "8",
+                 "--T", "6", "--hidden", "32"]) == 0
+    assert main(["prune", "--out", str(tmp_path / "p"), "--ckpt", str(tmp_path / "d"), "--pattern", "2:4"]) == 0
+    for mode in ("pin", "free", "crowd"):
+        _run_python(["-c", PINNED_TRAIN, mode, mode], tmp_path)
+    for name in ("model.ckpt", "trace.jsonl"):
+        digests = {hashlib.sha256((tmp_path / d / name).read_bytes()).hexdigest() for d in ("pin", "free", "crowd")}
+        assert len(digests) == 1, name
