@@ -18,7 +18,7 @@ def run(argv) -> None:
 
 
 def chart(rows, path: Path) -> None:
-    # log-x MACs ratio against energy distance, one dot per pattern
+    # MACs ratio (linear x) against energy distance, one dot per pattern
     w, h, m = 640, 400, 50
     xs = [r["macs_sparse"] / r["macs_dense"] for r in rows]
     ys = [r["energy_distance"] for r in rows]

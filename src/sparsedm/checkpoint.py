@@ -115,6 +115,11 @@ def _resolve(path) -> tuple[Path, Path]:
     return p, p.with_name(META_NAME)
 
 
+def _architecture(model: NoisePredictor) -> dict:
+    """The sidecar's ``architecture`` block: what ``save_model`` writes and ``load_model`` checks."""
+    return {"data_dim": DATA_DIM, "temb_dim": model.temb_dim, "hidden": list(model.hidden)}
+
+
 def save_model(run_dir, model: NoisePredictor, sched: NoiseSchedule, seed: int, extra: dict | None = None):
     """Write model.ckpt and meta.json into the run directory."""
     run_dir = Path(run_dir)
@@ -127,11 +132,7 @@ def save_model(run_dir, model: NoisePredictor, sched: NoiseSchedule, seed: int, 
     write_entries(run_dir / CKPT_NAME, entries)
     meta = {
         "format_version": FORMAT_VERSION,
-        "architecture": {
-            "data_dim": DATA_DIM,
-            "temb_dim": model.temb_dim,
-            "hidden": list(model.hidden),
-        },
+        "architecture": _architecture(model),
         "layers": [
             {"name": layer.name, "pattern": str(layer.pattern) if layer.pattern else None}
             for layer in model.layers
@@ -194,7 +195,7 @@ def load_model(path) -> tuple[NoisePredictor, NoiseSchedule, dict]:
             f"layer shapes {[l.weight.shape for l in layers]} do not chain from input "
             f"{DATA_DIM + model.temb_dim} to output {DATA_DIM}"
         )
-    arch = {"data_dim": DATA_DIM, "temb_dim": model.temb_dim, "hidden": list(model.hidden)}
+    arch = _architecture(model)
     if meta["architecture"] != arch:
         raise ArchitectureError(f"{meta_path}: architecture {meta['architecture']} does not describe the layers, {arch}")
     s = meta["schedule"]
@@ -203,7 +204,7 @@ def load_model(path) -> tuple[NoisePredictor, NoiseSchedule, dict]:
 
 
 def _check_meta(meta, path) -> None:
-    """Reject a sidecar that parses as JSON but lacks the fields load_model reads."""
+    """Reject a sidecar that parses as JSON but lacks the fields load_model and prune read."""
     def fail(what: str):
         raise ConfigError(f"{path}: {what}")
 
@@ -225,3 +226,5 @@ def _check_meta(meta, path) -> None:
     if not (isinstance(sched, dict) and type(sched.get("T")) is int
             and all(type(sched.get(k)) in (int, float) for k in ("beta_start", "beta_end"))):
         fail("'schedule' needs an integer 'T' and numeric 'beta_start' and 'beta_end'")
+    if type(meta.get("seed")) is not int or meta["seed"] < 0:
+        fail(f"'seed' must be a non-negative integer, got {meta.get('seed')!r}")

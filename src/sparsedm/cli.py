@@ -200,19 +200,17 @@ def _write_trace(path: Path, records) -> None:
 
 
 def _parse_hidden(text: str) -> tuple[int, ...]:
+    """The widths of a comma list; ``NoisePredictor.create`` decides which widths it accepts."""
     try:
-        dims = tuple(int(x) for x in text.split(",") if x != "")
+        return tuple(int(x) for x in text.split(",") if x != "")
     except ValueError:
         raise ConfigError(f"bad hidden widths {text!r}") from None
-    if not dims or any(d < 1 for d in dims):
-        raise ConfigError(f"bad hidden widths {text!r}")
-    return dims
 
 
 def _train_config(cfg: dict, **overrides) -> TrainConfig:
     """TrainConfig from the command's options that name one of its fields."""
     known = {k: v for k, v in cfg.items() if k in TrainConfig.__dataclass_fields__}
-    return TrainConfig(**known, **overrides).validate()
+    return TrainConfig(**known, **overrides)
 
 
 def _write_samples_csv(path: Path, pts: np.ndarray) -> None:
@@ -249,8 +247,7 @@ def _write_scatter_svg(path: Path, pts: np.ndarray, size: int = 440, margin: int
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_train_dense(args) -> int:
-    cfg = _merge_config("train-dense", args)
+def cmd_train_dense(args, cfg: dict) -> int:
     sched = make_schedule(cfg["T"], cfg["beta_start"], cfg["beta_end"])
     config = _train_config(cfg)
     hidden = _parse_hidden(cfg["hidden"])
@@ -265,8 +262,7 @@ def cmd_train_dense(args) -> int:
     return 0
 
 
-def cmd_prune(args) -> int:
-    cfg = _merge_config("prune", args)
+def cmd_prune(args, cfg: dict) -> int:
     pattern = NMPattern.parse(cfg["pattern"])
     model, sched, meta = ckpt.load_model(args.ckpt)
     prune_one_shot(model, pattern, transposable=cfg["transposable"], strict=cfg["strict"])
@@ -279,7 +275,7 @@ def cmd_prune(args) -> int:
             zeros = float((layer.mask == 0).mean())
             extra = ", transposable" if has_transposable_mask(layer) else ""
             print(f"{layer.name}: pattern {layer.pattern} sparsity {zeros:.3f}{extra}")
-    ckpt.save_model(out, model, sched, meta.get("seed", cfg["seed"]), extra={"label": f"pruned-{pattern}"})
+    ckpt.save_model(out, model, sched, meta["seed"], extra={"label": f"pruned-{pattern}"})
     print(f"wrote {out / ckpt.CKPT_NAME}")
     return 0
 
@@ -305,8 +301,7 @@ def _describe_schedule(sched) -> str:
     return f"T={sched.T}, beta_start={float(sched.beta[0])!r}, beta_end={float(sched.beta[-1])!r}"
 
 
-def cmd_train_sparse(args) -> int:
-    cfg = _merge_config("train-sparse", args)
+def cmd_train_sparse(args, cfg: dict) -> int:
     student, sched, _ = ckpt.load_model(args.student)
     teacher, t_sched, _ = ckpt.load_model(args.teacher)
     mine, theirs = _describe_schedule(sched), _describe_schedule(t_sched)
@@ -325,8 +320,7 @@ def cmd_train_sparse(args) -> int:
     return 0
 
 
-def cmd_sample(args) -> int:
-    cfg = _merge_config("sample", args)
+def cmd_sample(args, cfg: dict) -> int:
     model, sched, _ = ckpt.load_model(args.ckpt)
     n = cfg["n"]
     if n < 1:
@@ -341,8 +335,7 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    cfg = _merge_config("eval", args)
+def cmd_eval(args, cfg: dict) -> int:
     model, sched, _ = ckpt.load_model(args.ckpt)
     n = cfg["n"]
     if n < 2:
@@ -367,8 +360,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = _merge_config("sweep", args)
+def cmd_sweep(args, cfg: dict) -> int:
     teacher, sched, _ = ckpt.load_model(args.ckpt)
     patterns = [NMPattern.parse(p) for p in cfg["patterns"].split(",") if p]
     config = _train_config(cfg)
@@ -433,7 +425,7 @@ def main(argv=None) -> int:
     try:
         # a diverged run ends in the typed error of the loss or finiteness check, not in numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            return COMMANDS[args.cmd](args)
+            return COMMANDS[args.cmd](args, _merge_config(args.cmd, args))
     except tuple(kind for kind, _ in EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES if isinstance(e, kind))

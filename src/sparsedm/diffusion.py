@@ -123,7 +123,7 @@ class NoisePredictor:
     ) -> "NoisePredictor":
         if not hidden or any(h < 32 or h % 32 for h in hidden):
             # every sweep group size up to 32 must divide the hidden widths
-            raise ArchitectureError(f"hidden widths must be positive multiples of 32, got {hidden}")
+            raise ConfigError(f"hidden widths must be positive multiples of 32, got {hidden}")
         model = cls(layers=[], temb_dim=temb_dim)  # checks temb_dim before any layer is drawn
         dims = [DATA_DIM + temb_dim, *hidden, DATA_DIM]
         model.layers = [MaskedLinear.dense(f"fc{i + 1}", dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)]
@@ -147,7 +147,7 @@ class NoisePredictor:
         return h
 
     def copy(self) -> "NoisePredictor":
-        return NoisePredictor(layers=[l.copy() for l in self.layers], temb_dim=self.temb_dim)
+        return copy.deepcopy(self)
 
 
 def inference_forward(model: NoisePredictor, n_steps: int, compressed: bool = False):

@@ -146,7 +146,6 @@ def sweep_ratios(
     if len(set(patterns)) != len(patterns):
         twice = next(p for i, p in enumerate(patterns) if p in patterns[:i])
         raise ConfigError(f"sweep pattern {twice} is listed more than once")
-    config.validate()
     if n_eval < 2:
         raise ConfigError(f"n_eval must be >= 2, got {n_eval}")
     ref = _points(toy_batch(dataset, n_eval, stream(config.seed, "eval")))

@@ -9,6 +9,7 @@ bytes than the dense float32 weight.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -113,9 +114,6 @@ class MaskedLinear:
 
     def effective_weight(self) -> np.ndarray:
         return self.weight.data * self.mask
-
-    def copy(self) -> "MaskedLinear":
-        return MaskedLinear(self.name, self.weight.copy(), self.bias.copy(), self.mask.copy(), self.pattern)
 
 
 def masked_linear_forward(
@@ -229,31 +227,27 @@ def is_transposable(mask: np.ndarray, pattern: NMPattern) -> bool:
     return satisfies(mask, pattern) and satisfies(mask.T, pattern)
 
 
-_SUPPORTS_2_4: np.ndarray | None = None
-
-
+@functools.cache
 def _supports_2_4() -> np.ndarray:
-    """All 4x4 binary matrices with every row and column summing to 2.
+    """Read-only stack of all 4x4 binary matrices with every row and column summing to 2.
 
     Enumerated in a fixed order: rows each pick one of the six column pairs,
     lexicographically, and combinations failing the column sums are dropped.
     There are 90 of them.
     """
-    global _SUPPORTS_2_4
-    if _SUPPORTS_2_4 is None:
-        pairs = list(itertools.combinations(range(4), 2))
-        rows = []
-        for p in pairs:
-            r = np.zeros(4, dtype=np.uint8)
-            r[list(p)] = 1
-            rows.append(r)
-        keep = []
-        for combo in itertools.product(range(6), repeat=4):
-            m = np.stack([rows[i] for i in combo])
-            if (m.sum(axis=0) == 2).all():
-                keep.append(m)
-        _SUPPORTS_2_4 = np.stack(keep)
-    return _SUPPORTS_2_4
+    rows = []
+    for p in itertools.combinations(range(4), 2):
+        r = np.zeros(4, dtype=np.uint8)
+        r[list(p)] = 1
+        rows.append(r)
+    keep = []
+    for combo in itertools.product(range(6), repeat=4):
+        m = np.stack([rows[i] for i in combo])
+        if (m.sum(axis=0) == 2).all():
+            keep.append(m)
+    table = np.stack(keep)
+    table.setflags(write=False)
+    return table
 
 
 def make_transposable(w: Tensor, pattern: NMPattern) -> np.ndarray:

@@ -47,9 +47,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
 
 def linear_ste(x: np.ndarray, w: Tensor, b: Tensor, w_eff: np.ndarray) -> np.ndarray:
     """Affine map ``y = x @ w_eff.T + b`` with a straight-through weight gradient.

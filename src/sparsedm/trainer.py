@@ -59,7 +59,7 @@ class TrainConfig:
     switch_every: int = 1000    # steps each pattern but the last is active
     freeze_masks: bool = False  # project masks only at each pattern's first step
 
-    def validate(self) -> "TrainConfig":
+    def __post_init__(self):
         if not isinstance(self.steps, int) or self.steps < 0:
             raise ConfigError(f"steps must be a non-negative integer, got {self.steps!r}")
         if not isinstance(self.batch_size, int) or self.batch_size < 1:
@@ -87,7 +87,6 @@ class TrainConfig:
                 f"a schedule of {len(self.schedule)} patterns switching every {self.switch_every} steps "
                 f"needs at least {need} steps, got {self.steps}"
             )
-        return self
 
     def lr_at(self, step: int) -> float:
         if self.lr_schedule == "constant":
@@ -358,7 +357,6 @@ def transfer_train(
     one; without it, a pool of ``teacher_bank`` samples is drawn from the
     teacher first, on the same distill stream the batches then come from.
     """
-    config.validate()
     if bank is not None:
         if bank.ndim != 2 or bank.shape[1] != DATA_DIM or len(bank) == 0:
             raise ConfigError(f"teacher bank must be a non-empty (n, {DATA_DIM}) array, got shape {bank.shape}")

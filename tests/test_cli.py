@@ -452,6 +452,26 @@ def test_negative_seed_exits_2(runs, tmp_path, capsys, cmd, via):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("seed", ["abc", None, [1], 1.5, True, -3])
+def test_prune_refuses_bad_sidecar_seed(runs, tmp_path, capsys, seed):
+    bad = _damaged_copy(runs["dense"], tmp_path / "bad", lambda entries, meta: meta.update(seed=seed))
+    capsys.readouterr()
+    assert main(["prune", "--out", str(tmp_path / "x"), "--ckpt", str(bad)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "'seed' must be a non-negative integer" in lines[0]
+    assert not (tmp_path / "x").exists()
+
+
+# every width must be a positive multiple of 32, so each sweep group size up to 32 divides it
+@pytest.mark.parametrize("hidden", ["0", "16", "48", "32,-32", "a"])
+def test_bad_hidden_width_exits_2(tmp_path, capsys, hidden):
+    capsys.readouterr()
+    assert main(["train-dense", "--out", str(tmp_path / "x"), "--steps", "0", "--T", "4", "--hidden", hidden]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "hidden widths" in lines[0]
+    assert not (tmp_path / "x").exists()
+
+
 def test_config_int_accepted_for_float(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"lr": 1, "steps": 2, "T": 8, "hidden": "32", "batch_size": 8}))

@@ -225,7 +225,7 @@ def test_predictor_forward_rejects_out_of_range_t(rng, t):
 
 
 def test_create_rejects_indivisible_hidden():
-    with pytest.raises(ArchitectureError):
+    with pytest.raises(ConfigError, match="positive multiples of 32"):
         NoisePredictor.create(stream(0, "init"), hidden=(100,))
 
 

@@ -1,6 +1,7 @@
-"""The driver scripts run end to end on a tiny budget, the benchmark's tracer finds its hooks, a
-fresh CLI process imports scipy only for compressed sampling, keeps its freed heap mapped, and
-its samples and transfer training do not depend on how many CPUs it may use."""
+"""The driver scripts run end to end on a tiny budget, the byte-identity chain repeats itself, the
+benchmark's tracer finds its hooks, a fresh CLI process imports scipy only for compressed sampling,
+keeps its freed heap mapped, and its samples and transfer training do not depend on how many CPUs
+it may use."""
 import ctypes
 import hashlib
 import importlib.util
@@ -38,6 +39,17 @@ def test_sweep_and_pipeline_scripts(tmp_path):
                                     "--transfer-steps", "2", "--n-eval", "16"], tmp_path)
     for name in ("dense", "sparse"):
         assert (tmp_path / "pipe" / f"eval-{name}" / "report.json").exists()
+
+
+def test_chain_digests_cover_every_file_and_repeat(tmp_path):
+    """The byte-identity chain lists each file it wrote once, sorted, and a second run prints the same digests."""
+    first, second = (_run_python([str(ROOT / "scripts" / "chain_digests.py"), str(tmp_path / d)], tmp_path)
+                     for d in ("a", "b"))
+    assert first == second
+    paths = [line.split("  ", 1)[1] for line in first.splitlines()]
+    written = sorted(p.relative_to(tmp_path / "a").as_posix() for p in (tmp_path / "a").rglob("*") if p.is_file())
+    assert paths == written and len(paths) >= 42
+    assert {"stdout/sweep.txt", "sample/samples.svg", "sample-compressed/samples.csv", "eval/report.json"} <= set(paths)
 
 
 def test_benchmark_tracer_finds_its_hooks(tmp_path):

@@ -96,24 +96,27 @@ def test_ste_update_rejects_bad_args(rng):
 # ---------------------------------------------------------------------------
 
 def test_config_validation():
-    TrainConfig(steps=10).validate()
+    TrainConfig(steps=10)
     with pytest.raises(ConfigError):
-        TrainConfig(steps=-1).validate()
+        TrainConfig(steps=-1)
     with pytest.raises(ConfigError):
-        TrainConfig(steps=10, lr=0.0).validate()
+        TrainConfig(steps=10, lr=0.0)
     with pytest.raises(ConfigError):
-        TrainConfig(steps=10, lr_schedule="exponential").validate()
+        TrainConfig(steps=10, lr_schedule="exponential")
     with pytest.raises(ConfigError):
-        TrainConfig(steps=10, lambda1=0.0, lambda2=0.0).validate()
+        TrainConfig(steps=10, lambda1=0.0, lambda2=0.0)
     with pytest.raises(ConfigError):
-        TrainConfig(steps=10, lambda1=1.5).validate()
+        TrainConfig(steps=10, lambda1=1.5)
     for lambda_w in (-1e-4, math.nan, math.inf):
         with pytest.raises(ConfigError):
-            TrainConfig(steps=10, lambda_w=lambda_w).validate()
+            TrainConfig(steps=10, lambda_w=lambda_w)
     with pytest.raises(ConfigError):
-        TrainConfig(steps=10, switch_every=0).validate()
+        TrainConfig(steps=10, switch_every=0)
     with pytest.raises(ConfigError):
-        TrainConfig(steps=10, schedule=("2:4",)).validate()
+        TrainConfig(steps=10, schedule=("2:4",))
+    # a replaced config is constructed, and so checked, again
+    with pytest.raises(ConfigError, match="lr must be positive"):
+        replace(TrainConfig(steps=10), lr=0.0)
 
 
 def test_lr_schedule_shapes():
@@ -149,11 +152,11 @@ def test_mask_schedule_fixed_and_progressive():
 def test_mask_schedule_rejects_bad_partition():
     # every pattern needs at least one step; the last one runs to the end
     two = (NMPattern(3, 4), NMPattern(2, 4))
-    TrainConfig(steps=6, schedule=two, switch_every=5).validate()
+    TrainConfig(steps=6, schedule=two, switch_every=5)
     with pytest.raises(ConfigError):
-        TrainConfig(steps=5, schedule=two, switch_every=5).validate()
+        TrainConfig(steps=5, schedule=two, switch_every=5)
     with pytest.raises(ConfigError):
-        TrainConfig(steps=0, schedule=two[:1]).validate()
+        TrainConfig(steps=0, schedule=two[:1])
 
 
 # ---------------------------------------------------------------------------
