@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import CompressionError, DimensionError, PatternError
-from .tensor import Tensor, linear_ste
+from .tensor import Tensor, _f64, linear_ste
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
@@ -121,8 +121,9 @@ def masked_linear_forward(
 ) -> np.ndarray:
     """Forward through W*mask; the weight gradient skips the mask (straight-through).
 
-    A list ``cache`` receives ``(input, W*mask)`` for ``tensor.backward``.  A
-    frozen ``CompressedLinear`` runs through ``spmm`` instead.
+    A list ``cache`` receives the float64 ``(input, W*mask)`` the product
+    uses, for ``tensor.backward``.  A frozen ``CompressedLinear`` runs
+    through ``spmm`` instead.
     """
     if x.ndim != 2 or x.shape[1] != layer.in_features:
         raise DimensionError(
@@ -130,7 +131,7 @@ def masked_linear_forward(
         )
     if isinstance(layer, CompressedLinear):
         return spmm(layer.weight, x) + layer.bias.data
-    w_eff = layer.effective_weight()
+    x, w_eff = _f64(x), _f64(layer.effective_weight())
     if cache is not None:
         cache.append((x, w_eff))
     return linear_ste(x, layer.weight, layer.bias, w_eff)

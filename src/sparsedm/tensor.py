@@ -75,19 +75,20 @@ SILU_BLOCK = 1 << 15
 
 
 def silu(x: np.ndarray, cache: list | None = None) -> np.ndarray:
-    """``x * sigmoid(x)``, rounded once to float32; a list ``cache`` receives ``(x, float64 sigmoid)``."""
-    flat = x.reshape(-1)
+    """``x * sigmoid(x)``, rounded once to float32; a list ``cache`` receives float64 ``(x, sigmoid)``."""
+    flat = x.reshape(-1) if cache is None else _f64(x.reshape(-1))  # backward reads the float64 input
     out = np.empty(flat.shape, np.float32)
     sig = np.empty(flat.shape) if cache is not None else None
     for s in range(0, flat.size, SILU_BLOCK):
         x64 = _f64(flat[s : s + SILU_BLOCK])
-        sig_block = _sigmoid64(x64)
-        # the float64 product rounds to float32 as it is stored
-        np.multiply(x64, sig_block, out=out[s : s + SILU_BLOCK], casting="same_kind")
+        prod = _sigmoid64(x64)
         if sig is not None:
-            sig[s : s + SILU_BLOCK] = sig_block
+            sig[s : s + SILU_BLOCK] = prod
+        # the float64 product rounds to float32 as it is stored
+        prod *= x64
+        out[s : s + SILU_BLOCK] = prod
     if cache is not None:
-        cache.append((x, sig.reshape(x.shape)))
+        cache.append((flat.reshape(x.shape), sig.reshape(x.shape)))
     return out.reshape(x.shape)
 
 
@@ -108,10 +109,11 @@ def mse_grad(pred: np.ndarray, target: np.ndarray, weight: float) -> np.ndarray:
 def backward(cache: list[tuple], g: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Float64 ``(dW, db)`` per layer, in layer order, from the gradient ``g`` at the output.
 
-    ``cache`` is what ``NoisePredictor.forward`` records: ``(input, w_eff)``
-    per linear layer, alternating with ``(input, sigmoid)`` per SiLU between
-    them.  The first layer's input takes no gradient.  ``dW`` is taken at
-    ``w_eff`` and belongs to the dense weight unchanged (straight-through).
+    ``cache`` is what ``NoisePredictor.forward`` records, all float64, so no
+    cast here copies: ``(input, w_eff)`` per linear layer, alternating with
+    ``(input, sigmoid)`` per SiLU between them.  The first layer's input takes
+    no gradient.  ``dW`` is taken at ``w_eff`` and belongs to the dense weight
+    unchanged (straight-through).
     Each result starts from zero, so a -0.0 never reaches an update; the sign
     of an intermediate zero cannot change a nonzero sum.
     """

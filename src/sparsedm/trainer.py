@@ -24,18 +24,14 @@ from __future__ import annotations
 
 import contextlib
 import math
-import mmap
 import os
-import signal
-import threading
-import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
 from .diffusion import DATA_DIM, NoisePredictor, NoiseSchedule, ddpm_sample, diffusion_loss, q_sample, toy_batch
-from .diffusion import _one_blas_thread, _openblas_threads, usable_cpus
+from .diffusion import _fork, _one_blas_thread, _shared_zeros, fork_cpus
 from .errors import ArchitectureError, ConfigError, DimensionError, PatternError, TrainingError
 from .rng import stream
 from .sparsity import MaskedLinear, NMPattern, is_transposable, make_transposable, project_mask
@@ -216,44 +212,22 @@ def _distill_branch(student, teacher, bank, sched, config, rng, wait=lambda: Non
 FORK_MIN_STEPS = 11
 
 
-def _worker_pays(config: TrainConfig) -> bool:
-    """Whether a forked process should run the distillation branch of this run.
-
-    The fork is safe only with no other Python thread alive and a BLAS that
-    survives it: OpenBLAS does, through its own atfork handler, where Apple's
-    Accelerate, for one, does not.
-    """
-    return (
-        config.lambda1 > 0.0
-        and config.lambda2 > 0.0
-        and config.steps >= FORK_MIN_STEPS
-        and hasattr(os, "fork")
-        and usable_cpus() >= 2
-        and threading.active_count() == 1
-        and _openblas_threads() is not None
-    )
-
-
-def _shared_zeros(shape, dtype) -> np.ndarray:
-    """Zeros in an anonymous shared mapping: after a fork, what one process writes there the other reads."""
-    return np.frombuffer(mmap.mmap(-1, math.prod(shape) * np.dtype(dtype).itemsize), dtype).reshape(shape)
-
-
 @contextlib.contextmanager
 def _distill_steps(student, teacher, bank, sched, config, rng):
     """The distillation branch as ``begin()`` and ``end()``: call ``begin()`` once a step's masks are
     projected, and ``end()`` for the step's loss and per-layer gradients.
 
-    When ``_worker_pays``, a forked child owns ``rng`` and runs
-    ``_distill_branch`` while this process runs the noise branch.  Each step
-    ``begin`` copies the student's weights, biases and masks into shared
-    memory and sends one byte; the child answers with one byte once its loss
-    and float64 gradients are in shared memory.  The child does the float
-    operations of the in-process branch on bit-equal inputs, so no result
-    changes.  Leaving the block, normally or not, closes the pipes, which
-    ends the child, and reaps it; a child that dies raises ``TrainingError``.
+    With lambda2 > 0, ``FORK_MIN_STEPS`` steps or more and two ``fork_cpus()``,
+    a forked child owns ``rng`` and runs ``_distill_branch`` while this
+    process runs the noise branch.  Each step ``begin`` copies the student's
+    weights, biases and masks into shared memory and sends one byte; the
+    child answers with one byte once its loss and float64 gradients are in
+    shared memory.  The child does the float operations of the in-process
+    branch on bit-equal inputs, so no result changes.  Leaving the block,
+    normally or not, closes the pipes, which ends the child, and reaps it; a
+    child that dies raises ``TrainingError``.
     """
-    if not _worker_pays(config):
+    if not (config.lambda2 > 0.0 and config.steps >= FORK_MIN_STEPS and fork_cpus() >= 2):
         branch = _distill_branch(student, teacher, bank, sched, config, rng)
         yield SimpleNamespace(begin=lambda: None, end=branch.__next__)
         return
@@ -264,24 +238,14 @@ def _distill_steps(student, teacher, bank, sched, config, rng):
     loss = _shared_zeros((), np.float32)
     go_r, go_w = os.pipe()
     done_r, done_w = os.pipe()
-    with warnings.catch_warnings():
-        # Python >= 3.12 warns that a fork with OS threads alive may deadlock.  Here the only such
-        # threads are OpenBLAS's, whose own atfork handler makes the fork safe, no other Python
-        # thread is alive, and the child never leaves the branch loop.
-        warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks", DeprecationWarning)
-        pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
-            os.close(go_w)
-            os.close(done_r)
+
+    def serve():
+        os.close(go_w)
+        os.close(done_r)
+        with contextlib.suppress(EOFError, BrokenPipeError):  # the parent has left the loop
             _serve_distill(student, teacher, bank, sched, config, rng, params, grads, loss, go_r, done_w)
-            status = 0
-        except (EOFError, BrokenPipeError):  # the parent has left the loop
-            status = 0
-        finally:
-            os._exit(status)
+
+    pid = _fork(serve)
     os.close(go_r)
     os.close(done_w)
 

@@ -1,4 +1,5 @@
 import hashlib
+import os
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,18 @@ from sparsedm.errors import TrainingError
 # every run explores the same examples; tests keep their own max_examples
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process unreaped, running or not: every sample of 512 rows
+    or more forks on two CPUs, and so does transfer training with both loss terms."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process unreaped (waitpid gave pid {pid}, status {status})")
 
 
 @pytest.fixture

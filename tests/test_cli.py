@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -25,6 +26,7 @@ from sparsedm.checkpoint import (
     write_entries,
 )
 from sparsedm.cli import COMMANDS, FLAGS, METRIC_NAME, OPTIONS, _defaults, main
+from sparsedm import diffusion
 from sparsedm.diffusion import NoisePredictor
 from sparsedm.evalbench import SWEEP_HEADER
 from sparsedm.rng import stream
@@ -649,6 +651,45 @@ def test_divergence_raises_no_numpy_warning(runs, tmp_path, capsys, monkeypatch)
     assert len(lines) == 3 and all(line.startswith("error: ") for line in lines)
     # a diverged run writes no output directory, not even config.json
     assert not any((tmp_path / name).exists() for name in ("s", "c", "d"))
+
+
+def test_killed_sampling_worker_exits_1(runs, tmp_path, capsys, monkeypatch):
+    # 600 rows on two CPUs sample in two chunks; the forked chunk's process is killed before its first step
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    caller, real = os.getpid(), diffusion._reverse_chain
+
+    def killed(*args):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+
+    monkeypatch.setattr(diffusion, "_reverse_chain", killed)
+    capsys.readouterr()
+    assert main(["sample", "--out", str(tmp_path / "x"), "--ckpt", str(runs["dense"]), "--n", "600"]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: a sampling worker exited with code {-signal.SIGKILL}"]
+    assert not (tmp_path / "x").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_exit_0_training_does_not_promise_a_sampleable_checkpoint(tmp_path, capsys, monkeypatch):
+    """A 31:32 student whose loss explodes in 4 steps still exits 0; sampling it reports the divergence."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    d, p, s = (str(tmp_path / name) for name in ("d", "p", "s"))
+    assert main(["train-dense", "--out", d, "--hidden", "64", "--T", "20", "--steps", "1", "--lr", "1.0",
+                 "--data", "swiss_roll", "--batch-size", "1", "--lr-schedule", "constant", "--seed", "0"]) == 0
+    assert main(["prune", "--out", p, "--ckpt", d, "--pattern", "31:32"]) == 0
+    assert main(["train-sparse", "--out", s, "--student", p, "--teacher", d, "--steps", "4", "--lr", "0.01",
+                 "--lambda1", "0", "--lambda2", "1", "--lambda-w", "0", "--batch-size", "1"]) == 0
+    final = json.loads((tmp_path / "s" / "trace.jsonl").read_text().splitlines()[-1])
+    assert final["loss_total"] > 1e8
+    capsys.readouterr()
+    # 1000 rows on two CPUs: two chunks, one of them forked
+    assert main(["sample", "--out", str(tmp_path / "x"), "--ckpt", s, "--n", "1000"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: sampling diverged")
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("cmd,lr", [("train-dense", "1e39"), ("train-sparse", "1e42"), ("train-sparse", "1e39")])

@@ -12,6 +12,7 @@ from sparsedm.diffusion import (
     NoisePredictor,
     _temb_table,
     ddpm_sample,
+    inference_forward,
     diffusion_loss,
     make_schedule,
     posterior_mean,
@@ -20,12 +21,12 @@ from sparsedm.diffusion import (
     toy_batch,
 )
 from sparsedm.errors import ArchitectureError, CompressedPathError, ConfigError, DimensionError
-from sparsedm.sparsity import MaskedLinear, NMPattern
+from sparsedm.sparsity import CompressedLinear, MaskedLinear, NMPattern, spmm
 from sparsedm.trainer import prune_one_shot
 from sparsedm.tensor import backward, mse_grad
 from sparsedm.rng import stream
 
-from conftest import assert_close_rel, ddpm_sample_reference, fd_grad
+from conftest import assert_close_rel, ddpm_sample_reference, fd_grad, sigmoid64_reference
 
 
 def test_single_step_schedule():
@@ -264,24 +265,38 @@ def _pin_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("kind", ["dense", "2:4", "compressed"])
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
 def test_sampler_matches_serial_reference(monkeypatch, cpus, kind):
-    """Row chunks on threads give the one-chunk loop's bytes and leave the generator where it leaves it."""
+    """Row chunks in forked processes give the one-chunk loop's bytes and leave the generator where it leaves it."""
     model = NoisePredictor.create(stream(2, "init"), hidden=(32, 32))
     if kind != "dense":
         prune_one_shot(model, NMPattern(2, 4))
     s = make_schedule(4, 1e-4, 0.02)
-    chunks = []  # rows of each chunk's posterior_mean calls
+    # per chunk, keyed by its first row: posterior_mean calls and the rows they saw.  Each chunk
+    # writes only its own slot, and the mapping is shared, so forked chunks count too.
+    calls = diffusion._shared_zeros((2, 2050), np.int64)
+    first_row = []
+    real_chain = diffusion._reverse_chain
+
+    def chain(fwd, sched, rng, n, lo, hi):
+        first_row.append(lo)  # in the process that runs this chunk
+        return real_chain(fwd, sched, rng, n, lo, hi)
 
     def recording(x_t, *args):
-        chunks.append(len(x_t))
+        calls[:, first_row[-1]] += (1, len(x_t))
         return posterior_mean(x_t, *args)
 
     _pin_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(diffusion, "_reverse_chain", chain)
     monkeypatch.setattr(diffusion, "posterior_mean", recording)
     for n in (0, 1, 255, 511, 512, 513, 1025, 2000, 2049):
-        chunks.clear()
+        calls[...] = 0
         rng, ref_rng = stream(n, "sample"), stream(n, "sample")
         out = ddpm_sample(model, n, s, rng, compressed=kind == "compressed")
         ref = ddpm_sample_reference(model, n, s, ref_rng, compressed=kind == "compressed")
@@ -289,20 +304,24 @@ def test_sampler_matches_serial_reference(monkeypatch, cpus, kind):
         assert out.tobytes() == ref.tobytes(), n
         assert rng.standard_normal(3).tobytes() == ref_rng.standard_normal(3).tobytes(), n
         # each chunk makes one call per step, and the chunks cover the n rows once
-        assert len(chunks) == s.T * max(1, min(cpus, n // diffusion.SAMPLE_CHUNK_ROWS)), n
-        assert sum(chunks) == s.T * n, n
+        w = max(1, min(cpus, n // diffusion.SAMPLE_CHUNK_ROWS))
+        assert np.flatnonzero(calls[0]).tolist() == [n * i // w for i in range(w)], n
+        assert set(calls[0][calls[0] > 0]) == {s.T}, n
+        assert calls[1].sum() == s.T * n, n
+        _assert_no_child_left()
 
 
 def test_sampler_chunk_failure_reaches_caller(monkeypatch):
-    """A chunk that raises on a worker thread raises in the caller; BLAS threads and workers are restored."""
+    """A chunk that raises in a forked child raises in the caller; BLAS threads are restored, no child is left."""
     model = NoisePredictor.create(stream(2, "init"), hidden=(32,))
     blas = diffusion._openblas_threads()
     # the numpy wheel bundles OpenBLAS there, and its thread pair must then be found
     assert blas is not None or not list((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"))
     inside = []
+    caller = os.getpid()
 
     def failing(*args):
-        if threading.current_thread() is threading.main_thread():
+        if os.getpid() == caller:
             inside.append(blas[0]() if blas else None)
             return posterior_mean(*args)
         raise DimensionError("worker chunk failed")
@@ -317,11 +336,67 @@ def test_sampler_chunk_failure_reaches_caller(monkeypatch):
         with pytest.raises(DimensionError, match="worker chunk failed"):
             ddpm_sample(model, 600, make_schedule(3), stream(0, "sample"))
         assert threading.active_count() == threads_before
+        _assert_no_child_left()
         if blas:
             assert set(inside) == {1} and blas[0]() == 2
     finally:
         if blas:
             blas[1](saved)
+
+
+def test_sampler_on_a_second_thread_forks_nothing(monkeypatch):
+    """With another Python thread alive a fork is unsafe: one chunk in this process, the same bytes."""
+    model = NoisePredictor.create(stream(2, "init"), hidden=(32,))
+    s = make_schedule(5)
+    _pin_cpus(monkeypatch, 2)
+    forks, real_fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    main_thread = ddpm_sample(model, 1024, s, stream(3, "sample"))
+    assert len(forks) == 1
+    got = []
+    worker = threading.Thread(target=lambda: got.append(ddpm_sample(model, 1024, s, stream(3, "sample"))))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and len(forks) == 1 and len(got) == 1
+    assert got[0].tobytes() == main_thread.tobytes()
+    assert got[0].tobytes() == ddpm_sample_reference(model, 1024, s, stream(3, "sample")).tobytes()
+
+
+def _forward_reference(model, x, t, n_steps, compressed):
+    """``NoisePredictor.forward`` written out: a float32 input, float64 products rounded to float32."""
+    t = np.broadcast_to(t, (len(x),))
+    h = np.concatenate([x, time_embedding(t, n_steps, model.temb_dim)], axis=1).astype(np.float32)
+    for i, layer in enumerate(model.layers):
+        if compressed and layer.pattern is not None:
+            comp = CompressedLinear.from_masked(layer)
+            h = spmm(comp.weight, h) + comp.bias.data
+        else:
+            w_eff = (layer.weight.data * layer.mask).astype(np.float64)
+            h = (h.astype(np.float64) @ w_eff.T + layer.bias.data.astype(np.float64)).astype(np.float32)
+        if i < len(model.layers) - 1:
+            h64 = h.astype(np.float64)
+            h = (h64 * sigmoid64_reference(h64)).astype(np.float32)
+    return h
+
+
+@pytest.mark.parametrize("t", [7, "per-row"])
+@pytest.mark.parametrize("kind", ["dense", "2:4", "compressed"])
+def test_forward_matches_written_out_reference(rng, kind, t):
+    # temb 62 makes fc1 64 wide, so the compressed path runs fc1 through spmm too
+    model = NoisePredictor.create(stream(4, "init"), hidden=(64, 32), temb_dim=62)
+    if kind != "dense":
+        prune_one_shot(model, NMPattern(2, 4))
+    t = rng.integers(0, 20, size=300) if t == "per-row" else t
+    x64 = rng.standard_normal((300, 2))
+    for x in (x64, x64.astype(np.float32)):  # a float64 x rounds to float32 first
+        got = inference_forward(model, 20, compressed=kind == "compressed")(x, t)
+        want = _forward_reference(model, x, t, 20, kind == "compressed")
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+        if kind != "compressed":
+            cache = []
+            assert model.forward(x, t, 20, cache).tobytes() == want.tobytes()
+            # backward reads float64 throughout, so it casts nothing
+            assert all(a.dtype == np.float64 for entry in cache for a in entry)
 
 
 class _GaussOracle:
