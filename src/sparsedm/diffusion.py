@@ -239,21 +239,47 @@ def fork_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _fork(child) -> int:
-    """Fork a child that ignores Ctrl-C (the parent's), runs ``child()`` and exits 0, or 1 if it raises; its pid."""
+@contextlib.contextmanager
+def _forked(fn, what: str):
+    """Run ``fn()`` in a forked child that ignores Ctrl-C (the parent's) and exits 0, or 1 if it raises.
+
+    The block gets ``join()``: it reads the child's pickled exception to EOF, reaps the child, and
+    re-raises that exception, or raises ``TrainingError`` for a non-zero exit; an unjoined child is killed.
+    """
+    r, w = os.pipe()
     with warnings.catch_warnings():
         # Python >= 3.12 warns of OS threads alive at a fork; fork_cpus() allows only OpenBLAS's
         warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks", DeprecationWarning)
         pid = os.fork()
     if pid == 0:
-        status = 1
         try:
+            os.close(r)
             signal.signal(signal.SIGINT, signal.SIG_IGN)
-            child()
-            status = 0
+            fn()
+            os._exit(0)
+        except BaseException as e:
+            data = pickle.dumps(e)
+            pickle.loads(data)  # what would not unpickle in the parent exits 1 unsent
+            os.write(w, data)
         finally:
-            os._exit(status)
-    return pid
+            os._exit(1)
+    os.close(w)
+
+    def join() -> None:
+        nonlocal pid
+        err = open(r, "rb", closefd=False).read()  # EOF once the child exits
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        pid = None
+        if err or code:
+            raise pickle.loads(err) if err else TrainingError(f"{what} exited with code {code}")
+
+    try:
+        yield join
+    finally:
+        os.close(r)
+        if pid is not None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _shared_zeros(shape, dtype) -> np.ndarray:
@@ -267,41 +293,21 @@ def _sample_chunks(fwd, sched: NoiseSchedule, rng: np.random.Generator, n: int, 
     Chunk 0 runs here on the caller's generator, which ends where the one-chunk
     loop leaves it; each other chunk runs in a forked child on the generator it
     inherits.  OpenBLAS is held to one thread, leaving the cores to the chunks.
-    Every child is reaped, and killed first when this call is unwinding.
+    The children join in chunk order: the first failing chunk raises, and the rest are killed.
     """
     edges = [n * i // w for i in range(w + 1)]
     out = _shared_zeros((n, DATA_DIM), np.float32)
-    children, errs = [], []  # (pid, read end of its exception pipe); what each pipe held
-    try:
-        with _one_blas_thread():
-            for lo, hi in zip(edges[1:-1], edges[2:]):
-                r, wr = os.pipe()
-                children.append((_fork(functools.partial(_chunk, wr, out, fwd, sched, rng, n, lo, hi)), r))
-                os.close(wr)
-            out[: edges[1]] = _reverse_chain(fwd, sched, rng, n, 0, edges[1])
-        errs = [open(r, "rb", closefd=False).read() for _, r in children]  # EOF once its child exits
-    finally:
-        codes = []
-        for pid, r in children:
-            os.close(r)
-            if len(errs) < len(children):
-                os.kill(pid, signal.SIGKILL)
-            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for err, code in zip(errs, codes):
-        if err or code:
-            raise pickle.loads(err) if err else TrainingError(f"a sampling worker exited with code {code}")
-    return out
 
-
-def _chunk(wr: int, out: np.ndarray, fwd, sched, rng, n: int, lo: int, hi: int) -> None:
-    """A sampling child's work: rows [lo, hi) into ``out``, or its exception, pickled, into ``wr``."""
-    try:
+    def chunk(lo: int, hi: int) -> None:
         out[lo:hi] = _reverse_chain(fwd, sched, rng, n, lo, hi)
-    except BaseException as e:
-        data = pickle.dumps(e)
-        pickle.loads(data)  # what would not unpickle in the parent exits 1 unsent
-        os.write(wr, data)
-        raise
+
+    with contextlib.ExitStack() as children, _one_blas_thread():
+        joins = [children.enter_context(_forked(functools.partial(chunk, lo, hi), "a sampling worker"))
+                 for lo, hi in zip(edges[1:-1], edges[2:])]
+        chunk(0, edges[1])
+        for join in joins:
+            join()
+    return out
 
 
 def ddpm_sample(
@@ -322,6 +328,7 @@ def ddpm_sample(
         raise ConfigError(f"sample count must be >= 0, got {n}")
     fwd = inference_forward(model, sched.T, compressed)
     w = max(1, min(fork_cpus(), n // SAMPLE_CHUNK_ROWS))
+    # one chunk keeps OpenBLAS's own threads: holding them to one measured slower (README, `sample`)
     x = _reverse_chain(fwd, sched, rng, n, 0, n) if w == 1 else _sample_chunks(fwd, sched, rng, n, w)
     if not np.isfinite(x).all():
         raise TrainingError(f"sampling diverged: {np.count_nonzero(~np.isfinite(x))} non-finite coordinates")

@@ -18,7 +18,8 @@ pattern's first step.
 With both loss terms on, a run of at least ``FORK_MIN_STEPS`` steps on two
 or more CPUs runs the distillation term in a forked worker process while
 this one runs the noise term (``_distill_steps``); the results are the same
-to the byte.
+to the byte.  The worker's exception reaches the caller as it would from this
+process, a killed worker raises ``TrainingError``, and Ctrl-C kills it at once.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .diffusion import DATA_DIM, NoisePredictor, NoiseSchedule, ddpm_sample, diffusion_loss, q_sample, toy_batch
-from .diffusion import _fork, _one_blas_thread, _shared_zeros, fork_cpus
+from .diffusion import _forked, _one_blas_thread, _shared_zeros, fork_cpus
 from .errors import ArchitectureError, ConfigError, DimensionError, PatternError, TrainingError
 from .rng import stream
 from .sparsity import MaskedLinear, NMPattern, is_transposable, make_transposable, project_mask
@@ -223,9 +224,10 @@ def _distill_steps(student, teacher, bank, sched, config, rng):
     weights, biases and masks into shared memory and sends one byte; the
     child answers with one byte once its loss and float64 gradients are in
     shared memory.  The child does the float operations of the in-process
-    branch on bit-equal inputs, so no result changes.  Leaving the block,
-    normally or not, closes the pipes, which ends the child, and reaps it; a
-    child that dies raises ``TrainingError``.
+    branch on bit-equal inputs, so no result changes.  Its exception is raised
+    here, as the in-process branch's would be; a killed child raises
+    ``TrainingError`` with its exit code.  Leaving the block, normally or by
+    an exception or Ctrl-C, kills the child without waiting for its step.
     """
     if not (config.lambda2 > 0.0 and config.steps >= FORK_MIN_STEPS and fork_cpus() >= 2):
         branch = _distill_branch(student, teacher, bank, sched, config, rng)
@@ -240,61 +242,44 @@ def _distill_steps(student, teacher, bank, sched, config, rng):
     done_r, done_w = os.pipe()
 
     def serve():
-        os.close(go_w)
-        os.close(done_r)
-        with contextlib.suppress(EOFError, BrokenPipeError):  # the parent has left the loop
-            _serve_distill(student, teacher, bank, sched, config, rng, params, grads, loss, go_r, done_w)
+        os.close(go_w)  # so that wait() sees EOF once the parent is gone, however it ends
+        for layer, (w, b, m) in zip(student.layers, params):  # the student's parameters view params
+            layer.weight, layer.bias, layer.mask = Tensor(w), Tensor(b), m
 
-    pid = _fork(serve)
-    os.close(go_r)
-    os.close(done_w)
+        def wait():
+            if os.read(go_r, 1) != b"s":
+                raise EOFError("the training loop has ended")
 
-    def died():
-        nonlocal pid
-        _, status = os.waitpid(pid, 0)
-        pid = None
-        return TrainingError(f"the distillation worker exited with code {os.waitstatus_to_exitcode(status)}")
+        # done_w closes before an exception is written: one larger than the pipe buffer blocks until
+        # the parent reads it, and the parent reads it only once done_w is closed
+        with open(done_w, "wb", buffering=0) as done:
+            for value, per_layer in _distill_branch(student, teacher, bank, sched, config, rng, wait):
+                for (gw, gb), (out_w, out_b) in zip(per_layer, grads):
+                    out_w[...] = gw
+                    out_b[...] = gb
+                loss[()] = value
+                done.write(b"d")
 
-    def begin():
-        for layer, (w, b, m) in zip(student.layers, params):
-            w[...] = layer.weight.data
-            b[...] = layer.bias.data
-            m[...] = layer.mask
-        try:
-            os.write(go_w, b"s")
-        except BrokenPipeError:
-            raise died() from None
+    worker = _forked(serve, "the distillation worker")
+    with worker as join, open(go_w, "wb", buffering=0) as go, open(done_r, "rb", buffering=0) as done:
+        os.close(go_r)
+        os.close(done_w)
 
-    def end():
-        if os.read(done_r, 1) != b"d":
-            raise died()
-        return loss[()], grads
+        def begin():
+            for layer, (w, b, m) in zip(student.layers, params):
+                w[...] = layer.weight.data
+                b[...] = layer.bias.data
+                m[...] = layer.mask
+            with contextlib.suppress(BrokenPipeError):  # a worker that has exited is found by end()
+                go.write(b"s")
 
-    try:
+        def end():
+            if done.read(1) != b"d":  # EOF: the worker has exited
+                join()  # raises what the worker raised, or TrainingError with its exit code
+                raise TrainingError("the distillation worker exited before its last step")
+            return loss[()], grads
+
         yield SimpleNamespace(begin=begin, end=end)
-    finally:
-        os.close(go_w)
-        os.close(done_r)
-        if pid is not None:
-            os.waitpid(pid, 0)
-
-
-def _serve_distill(student, teacher, bank, sched, config, rng, params, grads, loss, go, done) -> None:
-    """The forked child's loop: the student's parameters are views of ``params``, and each step's
-    results go to ``grads`` and ``loss``.  A closed pipe raises EOFError or BrokenPipeError."""
-    for layer, (w, b, m) in zip(student.layers, params):
-        layer.weight, layer.bias, layer.mask = Tensor(w), Tensor(b), m
-
-    def wait():
-        if os.read(go, 1) != b"s":
-            raise EOFError
-
-    for value, per_layer in _distill_branch(student, teacher, bank, sched, config, rng, wait):
-        for (gw, gb), (out_w, out_b) in zip(per_layer, grads):
-            out_w[...] = gw
-            out_b[...] = gb
-        loss[()] = value
-        os.write(done, b"d")
 
 
 def transfer_train(

@@ -26,7 +26,7 @@ from sparsedm.checkpoint import (
     write_entries,
 )
 from sparsedm.cli import COMMANDS, FLAGS, METRIC_NAME, OPTIONS, _defaults, main
-from sparsedm import diffusion
+from sparsedm import diffusion, trainer
 from sparsedm.diffusion import NoisePredictor
 from sparsedm.evalbench import SWEEP_HEADER
 from sparsedm.rng import stream
@@ -625,7 +625,7 @@ def _blow_up(entries, meta):
     ["sweep", "--patterns", "2:4", "--steps", "2", "--teacher-bank", "16", "--n-eval", "16"],
 ], ids=["sample", "sample-chunks", "eval", "sweep"])
 def test_non_finite_samples_exit_1(runs, tmp_path, capsys, monkeypatch, argv):
-    # two CPUs, so 600 rows sample in two chunks on two threads
+    # two CPUs, so 600 rows sample in two chunks in two processes
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     bad = _damaged_copy(runs["dense"], tmp_path / "bad", _blow_up)
     capsys.readouterr()
@@ -637,7 +637,7 @@ def test_non_finite_samples_exit_1(runs, tmp_path, capsys, monkeypatch, argv):
 
 
 def test_divergence_raises_no_numpy_warning(runs, tmp_path, capsys, monkeypatch):
-    # 600 rows on two CPUs sample in two chunks: the worker thread must ignore overflow too
+    # 600 rows on two CPUs sample in two chunks: the forked chunk's process must ignore overflow too
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     bad = _damaged_copy(runs["dense"], tmp_path / "bad", _blow_up)
     capsys.readouterr()
@@ -910,35 +910,156 @@ def test_divergence_with_worker_leaves_no_process(runs, tmp_path, capsys, monkey
         os.waitpid(-1, os.WNOHANG)
 
 
-# the worker's branch raises in the worker only, at the step given first; the parent must exit 1, not hang
-DYING_WORKER = """
-import os, sys
-from sparsedm import trainer
+def test_killed_distillation_worker_exits_1(runs, tmp_path, capsys, monkeypatch):
+    # on two CPUs only the forked worker runs the distillation branch; it is killed before its first step
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    caller, real = os.getpid(), trainer._distill_branch
+
+    def killed(*args, **kwargs):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "_distill_branch", killed)
+    capsys.readouterr()
+    assert main(["train-sparse", "--out", str(tmp_path / "x"), "--student", str(runs["pruned"]),
+                 "--teacher", str(runs["dense"]), "--steps", "16", "--batch-size", "16", "--teacher-bank", "64"]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: the distillation worker exited with code {-signal.SIGKILL}"]
+    assert not (tmp_path / "x").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# The distillation branch raises errors.<kind> or builtins.<kind>(message) at the step given second,
+# on the CPUs given third; on two, only the forked worker runs the branch.  stdout gets the number
+# of forks, and stderr one more line if a child process is left, running or unreaped.
+BRANCH_FAULT = """
+import builtins, contextlib, os, sys
+from sparsedm import errors, trainer
 from sparsedm.cli import main
 
-parent, real, fatal = os.getpid(), trainer._distill_branch, int(sys.argv[1])
+kind, fatal, cpus, message = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4]
+fault = getattr(errors, kind, None) or getattr(builtins, kind)
+real, forks, fork = trainer._distill_branch, [], os.fork
 
-def dying(*args, **kwargs):
+def faulty(*args, **kwargs):
     for step, item in enumerate(real(*args, **kwargs)):
-        if step == fatal and os.getpid() != parent:
-            raise RuntimeError("worker fault")
+        if step == fatal:
+            raise fault(message)
         yield item
 
-trainer._distill_branch = dying
-os.sched_getaffinity = lambda pid: {0, 1}
-sys.exit(main(sys.argv[2:]))
+trainer._distill_branch = faulty
+os.sched_getaffinity = lambda pid: set(range(cpus))
+os.fork = lambda: forks.append(1) or fork()
+try:
+    sys.exit(main(sys.argv[5:]))
+finally:
+    print(len(forks))
+    with contextlib.suppress(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+        print("a child process is left", file=sys.stderr)
 """
+
+
+def _python_env() -> dict:
+    """This environment with src/ importable, for a fresh interpreter."""
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env
+
+
+def _branch_fault(runs, out, kind, fatal, cpus, message="worker fault"):
+    argv = ["train-sparse", "--out", str(out), "--student", str(runs["pruned"]), "--teacher", str(runs["dense"]),
+            "--steps", "16", "--batch-size", "16", "--teacher-bank", "64"]
+    # a worker that dies must not leave the parent waiting for its step
+    return subprocess.run([sys.executable, "-c", BRANCH_FAULT, kind, str(fatal), str(cpus), message, *argv],
+                          env=_python_env(), capture_output=True, text=True, timeout=60)
 
 
 @pytest.mark.parametrize("fatal", [0, 15], ids=["first-step", "last-step"])
 def test_dying_worker_exits_1(runs, tmp_path, fatal):
-    env = dict(os.environ)
-    src = Path(__file__).resolve().parents[1] / "src"
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    argv = ["train-sparse", "--out", str(tmp_path / "x"), "--student", str(runs["pruned"]),
-            "--teacher", str(runs["dense"]), "--steps", "16", "--batch-size", "16", "--teacher-bank", "64"]
-    proc = subprocess.run([sys.executable, "-c", DYING_WORKER, str(fatal), *argv], env=env, capture_output=True,
-                          text=True, timeout=60)
-    assert proc.returncode == 1, proc.stderr
-    assert proc.stderr.splitlines() == ["error: the distillation worker exited with code 1"]
+    """The worker's exception reaches the caller as it would in-process: typed, or with its traceback."""
+    for kind in ("TrainingError", "RuntimeError"):
+        proc = _branch_fault(runs, tmp_path / kind, kind, fatal, cpus=2)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == "1\n"
+        lines = proc.stderr.splitlines()
+        if kind == "TrainingError":
+            assert lines == ["error: worker fault"]
+        else:
+            assert lines[0] == "Traceback (most recent call last):" and lines[-1] == "RuntimeError: worker fault"
+            assert "a child process is left" not in lines
+        assert not (tmp_path / kind).exists()
+
+
+def test_branch_fault_is_the_same_on_one_cpu_and_two(runs, tmp_path):
+    """A typed fault in the distillation branch exits alike in this process (one CPU) and in the worker (two)."""
+    procs = [_branch_fault(runs, tmp_path / f"cpus{cpus}", "DimensionError", 3, cpus) for cpus in (1, 2)]
+    assert [p.stdout for p in procs] == ["0\n", "1\n"]
+    assert [(p.returncode, p.stderr) for p in procs] == [(3, "error: worker fault\n")] * 2
+    assert not any((tmp_path / f"cpus{cpus}").exists() for cpus in (1, 2))
+
+
+def test_worker_exception_past_the_pipe_buffer(runs, tmp_path):
+    """An exception that pickles to more than a pipe holds (64 KiB) reaches the caller: the worker closes
+    its end of the step-result pipe before it writes the exception, which ends the caller's wait for the step."""
+    message = "x" * 100_000
+    proc = _branch_fault(runs, tmp_path / "x", "DimensionError", 3, 2, message)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "1\n", f"error: {message}\n")
+    assert not (tmp_path / "x").exists()
+
+
+# Ctrl-C at a terminal reaches the whole process group.  The given functions, "module.name", print
+# "ready" when this process calls them and sleep 60 s in a forked child first, so only a kill ends
+# the child in time.  The arguments after "--" go to main.
+INTERRUPTED = """
+import os, sys, time
+from sparsedm import diffusion, trainer
+from sparsedm.cli import main
+
+parent, split = os.getpid(), sys.argv.index("--")
+
+def stalled(real):
+    def call(*args, **kwargs):
+        if os.getpid() == parent:
+            print("ready", flush=True)
+        else:
+            time.sleep(60)
+        return real(*args, **kwargs)
+    return call
+
+for target in sys.argv[1:split]:
+    module, name = target.split(".")
+    setattr(globals()[module], name, stalled(getattr(globals()[module], name)))
+os.sched_getaffinity = lambda pid: {0, 1}
+sys.exit(main(sys.argv[split + 1:]))
+"""
+
+
+@pytest.mark.parametrize("case", ["train-sparse", "sample"])
+def test_ctrl_c_kills_every_child(runs, tmp_path, case):
+    out = ["--out", str(tmp_path / "x")]
+    if case == "sample":
+        # 600 rows on two CPUs: chunk 0 here, after the forked chunk has started
+        targets, argv = ["diffusion._reverse_chain"], ["sample", *out, "--ckpt", str(runs["dense"]), "--n", "600"]
+    else:
+        # toy_batch runs in this process's loop only, once the worker has started; the branch in the worker only
+        targets = ["trainer.toy_batch", "trainer._distill_branch"]
+        argv = ["train-sparse", *out, "--student", str(runs["pruned"]), "--teacher", str(runs["dense"]),
+                "--steps", "16", "--batch-size", "16", "--teacher-bank", "64"]
+    proc = subprocess.Popen([sys.executable, "-c", INTERRUPTED, *targets, "--", *argv], env=_python_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        assert proc.stdout.readline() == "ready\n"
+        os.killpg(proc.pid, signal.SIGINT)
+        err = proc.communicate(timeout=30)[1]
+        with pytest.raises(ProcessLookupError):  # no process of the group is left
+            os.killpg(proc.pid, 0)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    assert proc.returncode == -signal.SIGINT and err.splitlines()[-1] == "KeyboardInterrupt"
     assert not (tmp_path / "x").exists()

@@ -1,15 +1,18 @@
 """The driver scripts run end to end on a tiny budget, the byte-identity chain repeats itself, the
-benchmark's tracer finds its hooks, a fresh CLI process imports scipy only for compressed sampling,
-keeps its freed heap mapped, and its samples and transfer training do not depend on how many CPUs
-it may use."""
+benchmark trajectory reads every committed file, the benchmark's tracer finds its hooks, a fresh CLI
+process imports scipy only for compressed sampling, keeps its freed heap mapped, and its samples and
+transfer training do not depend on how many CPUs it may use."""
 import ctypes
 import hashlib
 import importlib.util
+import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from sparsedm import sparsity
@@ -50,6 +53,107 @@ def test_chain_digests_cover_every_file_and_repeat(tmp_path):
     written = sorted(p.relative_to(tmp_path / "a").as_posix() for p in (tmp_path / "a").rglob("*") if p.is_file())
     assert paths == written and len(paths) >= 42
     assert {"stdout/sweep.txt", "sample/samples.svg", "sample-compressed/samples.csv", "eval/report.json"} <= set(paths)
+
+
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+END_TO_END = [m["name"] for m in BENCHMARK["end_to_end"]]
+_NUMBER, _COUNT = {"type": "number"}, {"type": "integer", "minimum": 0}
+_QUARTILES = {"type": "array", "items": _NUMBER, "minItems": 3, "maxItems": 3}
+_RUN = {
+    "type": "object",
+    "required": ["seed", "first", "result", "detail"],
+    "properties": {
+        "seed": {"type": "integer"},
+        "first": {"enum": ["parent", "change"]},
+        "result": {
+            "type": "object",
+            "required": ["correct", "attempted", "failed", "metrics"],
+            "properties": {
+                "correct": {"type": "boolean"},
+                "attempted": _COUNT,
+                "failed": _COUNT,
+                "metrics": {
+                    "type": "object",
+                    "required": END_TO_END,
+                    "additionalProperties": {"type": "object", "required": ["value", "unit"],
+                                             "properties": {"value": _NUMBER, "unit": {"type": "string"}}},
+                },
+            },
+        },
+        "detail": {"type": "object"},
+    },
+}
+# the one shape of BENCH_<n>.json from n = 21 on: per workload, a summary of every end-to-end metric
+# over alternating parent/change pairs, and every run of both sides
+BENCH_SCHEMA = {
+    "type": "object",
+    "required": ["about", "command", "machine", "workloads"],
+    "properties": {
+        "about": {"type": "string"},
+        "command": {"type": "string"},
+        "machine": {"type": "object"},
+        "workloads": {
+            "type": "object",
+            "required": WORKLOADS,
+            "additionalProperties": {
+                "type": "object",
+                "required": ["summary", "runs"],
+                "additionalProperties": False,
+                "properties": {
+                    "summary": {
+                        "type": "object",
+                        "required": END_TO_END,
+                        "additionalProperties": {
+                            "type": "object",
+                            "required": ["pairs", "parent_median", "change_median", "parent_quartiles",
+                                         "change_quartiles", "parent_iqr", "change_lower_in", "equal_in"],
+                            "additionalProperties": False,
+                            "properties": {
+                                "pairs": _COUNT, "parent_median": _NUMBER, "change_median": _NUMBER,
+                                "parent_quartiles": _QUARTILES, "change_quartiles": _QUARTILES,
+                                "parent_iqr": _NUMBER, "change_lower_in": _COUNT, "equal_in": _COUNT,
+                            },
+                        },
+                    },
+                    "runs": {
+                        "type": "object",
+                        "required": ["parent", "change"],
+                        "additionalProperties": False,
+                        "properties": {side: {"type": "array", "items": _RUN, "minItems": 5}
+                                       for side in ("parent", "change")},
+                    },
+                },
+            },
+        },
+    },
+}
+
+
+def test_bench_trajectory_reads_every_committed_file():
+    """A row per committed BENCH_<n>.json, workload and end-to-end metric, in either summary shape;
+    every file from n = 21 on has the one checked shape, and its medians are those of its runs."""
+    number = {p: int(p.stem.removeprefix("BENCH_")) for p in ROOT.glob("BENCH_*.json")}
+    files = sorted(number, key=number.get)
+    out = _run_python([str(ROOT / "scripts" / "bench_trajectory.py")], ROOT).splitlines()
+    assert out[0].split("\t") == ["file", "workload", "metric", "parent_median", "change_median"]
+    rows = [line.split("\t") for line in out[1:]]
+    assert len(rows) == len(files) * len(WORKLOADS) * len(END_TO_END) == len({tuple(r[:3]) for r in rows})
+    assert {tuple(r[:3]) for r in rows} == {(p.name, w, m) for p in files for w in WORKLOADS for m in END_TO_END}
+    assert all(float(r[3]) >= 0 and float(r[4]) >= 0 for r in rows)
+    checked = [p for p in files if number[p] >= 21]
+    assert checked
+    for path in checked:
+        bench = json.loads(path.read_text())
+        jsonschema.validate(bench, BENCH_SCHEMA)
+        for workload in bench["workloads"].values():
+            runs = workload["runs"]
+            assert len(runs["parent"]) == len(runs["change"])
+            for metric, summary in workload["summary"].items():
+                values = {side: [r["result"]["metrics"][metric]["value"] for r in runs[side]] for side in runs}
+                assert summary["pairs"] == len(values["parent"])
+                assert summary["parent_median"] == statistics.median(values["parent"])
+                assert summary["change_median"] == statistics.median(values["change"])
 
 
 def test_benchmark_tracer_finds_its_hooks(tmp_path):
