@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Run a fixed-seed CLI chain into OUT and print the sha256 of every file it wrote.
 
-The chain trains two dense models, prunes to 2:4, transposable 2:4 and 1:8,
+The chain trains three dense models (one on checkerboard with non-default
+betas), prunes to 2:4, transposable 2:4, 1:8 and, with ``--strict``, 1:2,
 transfer-trains six students (transfer, STE with frozen masks, progressive,
 distill-only, a transposable 2:4 and a 1:8 student), samples dense,
-compressed and as SVG, evaluates, and sweeps three patterns.  Every command
+compressed and as SVG, evaluates twice, and sweeps three patterns.  Every command
 runs in this process through ``sparsedm.cli.main``, with paths relative to
 OUT, and its stdout is kept as ``stdout/<run>.txt``.  Output lines are
 ``sha256  relative-path``, sorted by path.
@@ -32,9 +33,13 @@ CHAIN = [
     ("dense", "train-dense", ["--steps", "40", "--batch-size", "32", "--T", "8", "--hidden", "64,32", "--seed", "1"]),
     ("dense-wide", "train-dense", ["--data", "swiss_roll", "--steps", "8", "--batch-size", "16", "--T", "6",
                                    "--lr-schedule", "constant", "--seed", "2"]),
+    ("dense-checker", "train-dense", ["--data", "checkerboard", "--beta-start", "0.001", "--beta-end", "0.05",
+                                      "--steps", "8", "--batch-size", "16", "--T", "6", "--hidden", "32",
+                                      "--seed", "6"]),
     ("p24", "prune", ["--ckpt", "dense", "--pattern", "2:4"]),
     ("p24t", "prune", ["--ckpt", "dense", "--pattern", "2:4", "--transposable"]),
     ("p18", "prune", ["--ckpt", "dense", "--pattern", "1:8"]),
+    ("p12-strict", "prune", ["--ckpt", "dense", "--pattern", "1:2", "--strict"]),
     ("transfer", "train-sparse", ["--student", "p24", "--teacher", "dense", "--seed", "3", *TRAIN]),
     ("ste-frozen", "train-sparse", ["--student", "p24", "--teacher", "dense", "--lambda1", "0", "--lambda2", "1",
                                     "--freeze-masks", *TRAIN]),
@@ -48,6 +53,7 @@ CHAIN = [
     ("sample", "sample", ["--ckpt", "transfer", "--n", "600", "--svg", "--seed", "4"]),
     ("sample-compressed", "sample", ["--ckpt", "transfer", "--n", "600", "--compressed"]),
     ("eval", "eval", ["--ckpt", "transfer", "--n", "256"]),
+    ("eval-checker", "eval", ["--ckpt", "dense-checker", "--data", "checkerboard", "--n", "128"]),
     ("sweep", "sweep", ["--ckpt", "dense", "--patterns", "2:4,1:4,1:8", "--n-eval", "64", "--seed", "5", *TRAIN]),
 ]
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArchitectureError, CompressedPathError, ConfigError, DimensionError, TrainingError
+from .errors import ArchitectureError, CompressedPathError, ConfigError, TrainingError
 from .sparsity import CompressedLinear, MaskedLinear, NMPattern, masked_linear_forward
 from .tensor import mse_loss, silu
 
@@ -63,8 +63,6 @@ def _check_t(t, T: int) -> np.ndarray:
 
 def q_sample(x0: np.ndarray, t, eps: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
     """Noising step: ``sqrt(abar_t) x0 + sqrt(1 - abar_t) eps``; t scalar or per-row."""
-    if x0.shape != eps.shape:
-        raise DimensionError(f"x0 {x0.shape} and eps {eps.shape} differ")
     t = _check_t(t, sched.T)
     ab = sched.alpha_bar[t]
     if ab.ndim:
@@ -75,8 +73,6 @@ def q_sample(x0: np.ndarray, t, eps: np.ndarray, sched: NoiseSchedule) -> np.nda
 
 def posterior_mean(x_t: np.ndarray, eps_hat: np.ndarray, t: int, sched: NoiseSchedule) -> np.ndarray:
     """Reverse-step mean ``(x_t - beta_t/sqrt(1-abar_t) eps_hat) / sqrt(alpha_t)`` at one timestep t."""
-    if x_t.shape != eps_hat.shape:
-        raise DimensionError(f"x_t {x_t.shape} and eps_hat {eps_hat.shape} differ")
     t = _check_t(t, sched.T)
     beta, alpha, ab = sched.beta[t], sched.alpha[t], sched.alpha_bar[t]
     out = (x_t.astype(np.float64) - beta / np.sqrt(1.0 - ab) * eps_hat.astype(np.float64)) / np.sqrt(alpha)
@@ -392,10 +388,7 @@ def diffusion_loss(
 
     ``cache`` goes to ``model.forward``, for ``tensor.backward``.
     """
-    b = batch.shape[0]
-    if b == 0:
-        raise DimensionError("diffusion loss over an empty batch")
-    t = rng.integers(0, sched.T, size=b)
+    t = rng.integers(0, sched.T, size=batch.shape[0])
     eps = rng.standard_normal(batch.shape).astype(np.float32)
     x_t = q_sample(batch, t, eps, sched)
     pred = model.forward(x_t, t, sched.T, cache)

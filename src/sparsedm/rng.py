@@ -21,11 +21,7 @@ STREAMS = {
 
 def stream(seed: int, name: str) -> np.random.Generator:
     """Return the PCG64 generator for one named component of a seeded run."""
-    try:
-        base = STREAMS[name]
-    except KeyError:
-        raise KeyError(f"unknown rng stream {name!r}") from None
-    ss = np.random.SeedSequence(seed, spawn_key=(base,))
+    ss = np.random.SeedSequence(seed, spawn_key=(STREAMS[name],))
     return np.random.Generator(np.random.PCG64(ss))
 
 

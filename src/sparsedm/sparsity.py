@@ -134,7 +134,7 @@ def masked_linear_forward(
     x, w_eff = _f64(x), _f64(layer.effective_weight())
     if cache is not None:
         cache.append((x, w_eff))
-    return linear_ste(x, layer.weight, layer.bias, w_eff)
+    return linear_ste(x, w_eff, layer.bias)
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +184,6 @@ def spmm(c: Compressed24, x: np.ndarray) -> np.ndarray:
     Touches rows*cols/2 weight entries per batch row, exactly half the dense
     multiply count.
     """
-    if x.ndim != 2:
-        raise DimensionError(f"spmm needs a 2-d input, got {x.shape}")
-    if x.shape[1] != c.cols:
-        raise DimensionError(f"input width {x.shape[1]} mismatches compressed cols {c.cols}")
     # scipy multiplies a C-contiguous (cols, batch) operand without copying it again
     xt = np.ascontiguousarray(x.T, dtype=np.float64)
     return np.ascontiguousarray((c.csr @ xt).T, dtype=np.float32)

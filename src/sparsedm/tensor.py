@@ -6,13 +6,12 @@ linear/SiLU stack under an MSE loss, so ``backward`` is written out for that
 stack rather than recorded per op.  Matrix products and reductions
 accumulate in float64 and store float32, which keeps finite-difference
 checks stable at desk scale.  All loops run in a fixed order, so replaying
-the same step is bit-identical.
+the same step is bit-identical.  These ops check no shape: their callers pass
+operands that chain, non-empty, as checked where the data enters.
 """
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import DimensionError
 
 
 def _f64(a: np.ndarray) -> np.ndarray:
@@ -48,22 +47,16 @@ class Tensor:
         return self.data.shape
 
 
-def linear_ste(x: np.ndarray, w: Tensor, b: Tensor, w_eff: np.ndarray) -> np.ndarray:
+def linear_ste(x: np.ndarray, w_eff: np.ndarray, b: Tensor) -> np.ndarray:
     """Affine map ``y = x @ w_eff.T + b`` with a straight-through weight gradient.
 
     ``w_eff`` is the weight actually multiplied (typically the masked copy of
-    ``w``).  ``backward`` computes the gradient with respect to ``w_eff``,
-    and the dense parameter ``w`` takes it unchanged, so positions the mask
-    zeroes out still receive gradient signal.
+    a layer's weight).  ``backward`` computes the gradient with respect to
+    ``w_eff``, and the dense weight takes it unchanged, so positions the mask
+    zeroes out still receive gradient signal.  Precondition: x is (batch, k),
+    ``w_eff`` is (n, k) and b has n entries, as ``masked_linear_forward`` and
+    ``load_model`` check.
     """
-    if x.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
-        raise DimensionError(
-            f"linear expects 2-d input, 2-d weight, 1-d bias, got {x.shape}, {w.shape}, {b.shape}"
-        )
-    if w_eff.shape != w.shape:
-        raise DimensionError(f"effective weight {w_eff.shape} differs from weight {w.shape}")
-    if x.shape[1] != w.shape[1] or b.shape[0] != w.shape[0]:
-        raise DimensionError(f"linear shapes do not chain: {x.shape}, {w.shape}, {b.shape}")
     out = _f64(x) @ _f64(w_eff).T
     out += b.data
     return out.astype(np.float32)
@@ -93,10 +86,6 @@ def silu(x: np.ndarray, cache: list | None = None) -> np.ndarray:
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> np.float32:
-    if pred.shape != target.shape:
-        raise DimensionError(f"mse shapes {pred.shape} and {target.shape} differ")
-    if pred.size == 0:
-        raise DimensionError("mse over an empty tensor")
     diff = _f64(pred) - _f64(target)
     return np.float32((diff * diff).mean())
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .diffusion import DATA_DIM, NoisePredictor, NoiseSchedule, ddpm_sample, diffusion_loss, q_sample, toy_batch
 from .diffusion import _forked, _one_blas_thread, _shared_zeros, fork_cpus
-from .errors import ArchitectureError, ConfigError, DimensionError, PatternError, TrainingError
+from .errors import ArchitectureError, ConfigError, PatternError, TrainingError
 from .rng import stream
 from .sparsity import MaskedLinear, NMPattern, is_transposable, make_transposable, project_mask
 from .tensor import Tensor, backward, mse_grad, mse_loss
@@ -114,10 +114,6 @@ def ste_update(w: Tensor, grad: np.ndarray, mask: np.ndarray, lr: float, lambda_
     The lambda_w term is exactly zero at kept positions (W equals W*mask
     there), so only pruned entries feel the pull toward zero.
     """
-    if w.shape != grad.shape or w.shape != mask.shape:
-        raise DimensionError(f"update shapes differ: w {w.shape}, grad {grad.shape}, mask {mask.shape}")
-    if lambda_w < 0.0:
-        raise ConfigError(f"lambda_w must be >= 0, got {lambda_w!r}")
     w64 = w.data.astype(np.float64)
     g64 = grad.astype(np.float64)
     if lambda_w:

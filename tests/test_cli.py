@@ -5,6 +5,7 @@ import json
 import math
 import os
 import signal
+import struct
 import subprocess
 import sys
 import tempfile
@@ -597,6 +598,51 @@ def test_inconsistent_layer_shapes_exit_4(runs, tmp_path, capsys, damage):
     assert not (tmp_path / "s").exists()
 
 
+# each case and what its error line says
+BOUNDARY_ERRORS = {
+    "config-missing": "config file not found",
+    "config-not-json": "is not valid JSON",
+    "config-list": "must hold a JSON object",
+    "progressive-empty": "progressive schedule needs at least one pattern",
+    "bias-as-mask": "layer fc1 entries have kinds (0, 1, 1)",
+    "entry-kind-7": "unknown entry kind 7",
+    "sweep-n-eval-1": "n_eval must be >= 2",
+}
+
+
+@pytest.mark.parametrize("case", list(BOUNDARY_ERRORS))
+def test_boundary_errors_exit_2(runs, tmp_path, capsys, case):
+    """Each input is refused where it enters: exit 2, one error line, no output directory."""
+    cfg = tmp_path / "cfg.json"  # written by the other config cases; missing in "config-missing"
+    argv = ["train-dense", "--steps", "2", "--T", "4", "--hidden", "32", "--config", str(cfg)]
+    if case == "config-not-json":
+        cfg.write_text('{"steps": 3,')
+    elif case == "config-list":
+        cfg.write_text("[1, 2]")
+    elif case == "progressive-empty":
+        argv = ["train-sparse", "--student", str(runs["pruned"]), "--teacher", str(runs["dense"]),
+                "--steps", "2", "--teacher-bank", "16", "--progressive", ","]
+    elif case == "bias-as-mask":
+        def edit(entries, meta):
+            entries["fc1.bias"] = (KIND_MASK, np.ones(len(entries["fc1.bias"][1]), np.uint8))
+
+        argv = ["sample", "--n", "4", "--ckpt", str(_damaged_copy(runs["pruned"], tmp_path / "bad", edit))]
+    elif case == "entry-kind-7":
+        bad = _damaged_copy(runs["pruned"], tmp_path / "bad", lambda entries, meta: None)
+        blob = bytearray((bad / CKPT_NAME).read_bytes())
+        blob[12 + struct.unpack("<H", blob[10:12])[0]] = 7  # the first entry's kind, after its name
+        (bad / CKPT_NAME).write_bytes(bytes(blob))
+        argv = ["sample", "--n", "4", "--ckpt", str(bad)]
+    elif case == "sweep-n-eval-1":
+        argv = ["sweep", "--ckpt", str(runs["dense"]), "--patterns", "2:4", "--steps", "2",
+                "--teacher-bank", "16", "--n-eval", "1"]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and BOUNDARY_ERRORS[case] in lines[0], lines
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("argv", [["sample", "--compressed"], ["eval"]], ids=["sample", "eval"])
 @pytest.mark.parametrize("src,layer,pattern", [
     ("dense", "fc2", "2:4"),     # a 2:4 claim over an all-ones mask
@@ -926,6 +972,26 @@ def test_killed_distillation_worker_exits_1(runs, tmp_path, capsys, monkeypatch)
                  "--teacher", str(runs["dense"]), "--steps", "16", "--batch-size", "16", "--teacher-bank", "64"]) == 1
     err = capsys.readouterr().err
     assert err.splitlines() == [f"error: the distillation worker exited with code {-signal.SIGKILL}"]
+    assert not (tmp_path / "x").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_ending_early_exits_1(runs, tmp_path, capsys, monkeypatch):
+    # on two CPUs only the forked worker runs the distillation branch; it yields one step, then exits 0
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    real = trainer._distill_branch
+
+    def one_step(*args, **kwargs):
+        yield next(real(*args, **kwargs))
+
+    monkeypatch.setattr(trainer, "_distill_branch", one_step)
+    forks = _count_forks(monkeypatch)
+    capsys.readouterr()
+    assert main(["train-sparse", "--out", str(tmp_path / "x"), "--student", str(runs["pruned"]),
+                 "--teacher", str(runs["dense"]), "--steps", "12", "--batch-size", "16", "--teacher-bank", "64"]) == 1
+    assert len(forks) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: the distillation worker exited before its last step"]
     assert not (tmp_path / "x").exists()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

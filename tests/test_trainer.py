@@ -81,16 +81,6 @@ def test_ste_update_matches_closed_form_random(rng):
     assert np.abs(got.astype(np.float64) - want).max() <= 1e-6
 
 
-def test_ste_update_rejects_bad_args(rng):
-    w = Tensor(rng.standard_normal((2, 4)).astype(np.float32))
-    g = np.zeros((2, 4), np.float32)
-    mask = np.ones((2, 4), np.uint8)
-    with pytest.raises(ConfigError):
-        ste_update(w, g, mask, 0.1, -1.0)
-    with pytest.raises(Exception):
-        ste_update(w, np.zeros((4, 2), np.float32), mask, 0.1, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # configs and schedules
 # ---------------------------------------------------------------------------
