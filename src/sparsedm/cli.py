@@ -24,7 +24,6 @@ from .diffusion import DATASETS, NoisePredictor, ddpm_sample, make_schedule, toy
 from .errors import (
     ArchitectureError,
     CompressedPathError,
-    CompressionError,
     ConfigError,
     DimensionError,
     PatternError,
@@ -378,7 +377,6 @@ def cmd_sweep(args, cfg: dict) -> int:
 EXIT_CODES = (
     (ConfigError, 2),
     (PatternError, 3),
-    (CompressionError, 3),
     (DimensionError, 3),
     (ArchitectureError, 4),
     (CompressedPathError, 5),

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArchitectureError, CompressedPathError, ConfigError, TrainingError
+from .errors import ArchitectureError, CompressedPathError, ConfigError, DimensionError, TrainingError
 from .sparsity import CompressedLinear, MaskedLinear, NMPattern, masked_linear_forward
 from .tensor import mse_loss, silu
 
@@ -54,16 +54,9 @@ def make_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> N
     return NoiseSchedule(beta=beta, alpha=alpha, alpha_bar=alpha_bar)
 
 
-def _check_t(t, T: int) -> np.ndarray:
-    t = np.asarray(t, dtype=np.int64)
-    if t.size and (t.min() < 0 or t.max() >= T):
-        raise IndexError(f"timestep out of range [0, {T})")
-    return t
-
-
 def q_sample(x0: np.ndarray, t, eps: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
-    """Noising step: ``sqrt(abar_t) x0 + sqrt(1 - abar_t) eps``; t scalar or per-row."""
-    t = _check_t(t, sched.T)
+    """Noising step: ``sqrt(abar_t) x0 + sqrt(1 - abar_t) eps``; t scalar or per-row, trusted to lie
+    in [0, T): ``diffusion_loss`` and the trainer's distillation branch draw it with ``rng.integers(0, T)``."""
     ab = sched.alpha_bar[t]
     if ab.ndim:
         ab = ab[:, None]
@@ -72,8 +65,8 @@ def q_sample(x0: np.ndarray, t, eps: np.ndarray, sched: NoiseSchedule) -> np.nda
 
 
 def posterior_mean(x_t: np.ndarray, eps_hat: np.ndarray, t: int, sched: NoiseSchedule) -> np.ndarray:
-    """Reverse-step mean ``(x_t - beta_t/sqrt(1-abar_t) eps_hat) / sqrt(alpha_t)`` at one timestep t."""
-    t = _check_t(t, sched.T)
+    """Reverse-step mean ``(x_t - beta_t/sqrt(1-abar_t) eps_hat) / sqrt(alpha_t)`` at one timestep t,
+    trusted to lie in [0, T): the reverse chain walks ``range(T)``."""
     beta, alpha, ab = sched.beta[t], sched.alpha[t], sched.alpha_bar[t]
     out = (x_t.astype(np.float64) - beta / np.sqrt(1.0 - ab) * eps_hat.astype(np.float64)) / np.sqrt(alpha)
     return out.astype(np.float32)
@@ -135,8 +128,14 @@ class NoisePredictor:
         return tuple(layer.out_features for layer in self.layers[:-1])
 
     def forward(self, x: np.ndarray, t, n_steps: int, cache: list | None = None) -> np.ndarray:
-        """Predicted noise for ``x`` at steps ``t``; a list ``cache`` receives what ``tensor.backward`` reads."""
-        temb = _temb_table(n_steps, self.temb_dim)[_check_t(t, n_steps)]
+        """Predicted noise for ``x`` at steps ``t``; a list ``cache`` receives what ``tensor.backward`` reads.
+        The model's input boundary: ``x`` must be (batch, DATA_DIM) and every t in [0, n_steps)."""
+        if x.ndim != 2 or x.shape[1] != DATA_DIM:
+            raise DimensionError(f"the model expects points of shape (batch, {DATA_DIM}), got {x.shape}")
+        t = np.asarray(t, dtype=np.int64)
+        if t.size and (t.min() < 0 or t.max() >= n_steps):
+            raise IndexError(f"timestep out of range [0, {n_steps})")
+        temb = _temb_table(n_steps, self.temb_dim)[t]
         # the first layer's float64 input, from x as float32; a scalar t's one row fills every row
         h = np.empty((x.shape[0], DATA_DIM + self.temb_dim))
         h[:, :DATA_DIM] = x.astype(np.float32, copy=False)

@@ -9,10 +9,6 @@ class PatternError(ValueError):
     """A structured-sparsity pattern cannot apply to the given shape."""
 
 
-class CompressionError(ValueError):
-    """Weights do not satisfy the 2-of-4 layout required for compression."""
-
-
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 

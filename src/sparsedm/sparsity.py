@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import CompressionError, DimensionError, PatternError
+from .errors import PatternError
 from .tensor import Tensor, _f64, linear_ste
 
 if TYPE_CHECKING:
@@ -68,13 +68,10 @@ def project_mask(w: Tensor, pattern: NMPattern) -> np.ndarray:
     """Magnitude projection: a uint8 0/1 mask keeping the n largest |w| per m-group.
 
     Ties break toward the lower column index (stable sort on the negated
-    magnitudes), so projection is deterministic.
+    magnitudes), so projection is deterministic.  Trusts its caller for a 2-d
+    weight whose width m divides: ``prune_one_shot`` projects only such layers.
     """
-    if w.data.ndim != 2:
-        raise DimensionError(f"project_mask needs a 2-d weight, got {w.shape}")
     rows, cols = w.shape
-    if cols % pattern.m:
-        raise PatternError(f"input width {cols} not divisible by group size {pattern.m}")
     mags = np.abs(w.data).reshape(rows * (cols // pattern.m), pattern.m)
     # stable argsort keeps the lower column index first on equal magnitudes
     order = np.argsort(-mags, axis=1, kind="stable")
@@ -123,12 +120,9 @@ def masked_linear_forward(
 
     A list ``cache`` receives the float64 ``(input, W*mask)`` the product
     uses, for ``tensor.backward``.  A frozen ``CompressedLinear`` runs
-    through ``spmm`` instead.
+    through ``spmm`` instead.  Trusts its caller for a (batch, in_features)
+    ``x``: ``NoisePredictor.forward`` checks the points and builds the rest.
     """
-    if x.ndim != 2 or x.shape[1] != layer.in_features:
-        raise DimensionError(
-            f"layer {layer.name} expects input width {layer.in_features}, got {x.shape}"
-        )
     if isinstance(layer, CompressedLinear):
         return spmm(layer.weight, x) + layer.bias.data
     x, w_eff = _f64(x), _f64(layer.effective_weight())
@@ -154,20 +148,11 @@ class Compressed24:
 
 
 def compress_2_4(w: np.ndarray, mask: np.ndarray) -> Compressed24:
-    """Compress a 2:4-sparse matrix at its mask's kept positions, so explicit zeros stay lossless."""
-    if w.ndim != 2:
-        raise DimensionError(f"compress_2_4 needs a 2-d weight, got {w.shape}")
+    """Compress a 2:4-sparse matrix at its mask's kept positions, so explicit zeros stay lossless.
+    Trusts its caller for a 2-d ``w`` that is zero outside a same-shape 2:4 mask: ``inference_forward``
+    admits only 2:4 layers, ``prune_one_shot`` or ``load_model`` made each mask keep its pattern,
+    and ``effective_weight()`` is zero outside the mask."""
     rows, cols = w.shape
-    if cols % 4:
-        raise PatternError(f"input width {cols} not divisible by 4")
-    if mask.shape != w.shape:
-        raise DimensionError(f"weight {w.shape} and mask {mask.shape} differ")
-    if not satisfies(mask, NMPattern(2, 4)):
-        raise CompressionError("mask does not keep exactly 2 of every 4 entries")
-    outside = np.argwhere(w * (1 - mask))
-    if len(outside):
-        r, c = outside[0]
-        raise CompressionError(f"nonzero weight outside mask in group ({r},{c // 4})")
     # imported here, not at module level: scipy.sparse costs about 0.2 s to
     # import, and only the compressed sampling path reaches this function
     from scipy.sparse import csr_matrix
@@ -215,12 +200,7 @@ class CompressedLinear:
 # ---------------------------------------------------------------------------
 
 def is_transposable(mask: np.ndarray, pattern: NMPattern) -> bool:
-    """True when the mask satisfies the pattern along both orientations."""
-    rows, cols = mask.shape
-    if rows % pattern.m or cols % pattern.m:
-        raise PatternError(
-            f"mask {rows}x{cols} needs both dims divisible by {pattern.m} for the transposed check"
-        )
+    """True when the mask satisfies the pattern along both orientations; False unless m divides both dims."""
     return satisfies(mask, pattern) and satisfies(mask.T, pattern)
 
 
@@ -247,20 +227,15 @@ def _supports_2_4() -> np.ndarray:
     return table
 
 
-def make_transposable(w: Tensor, pattern: NMPattern) -> np.ndarray:
+def make_transposable(w: Tensor) -> np.ndarray:
     """Best transposable 2:4 mask by exhaustive search over each 4x4 block.
 
     Every block picks the support (out of the 90 doubly 2-per-line ones)
     retaining the largest |w| sum; ties take the first support in the fixed
-    enumeration order.
+    enumeration order.  Trusts its caller for a 2-d weight with 4 dividing
+    both dims: ``prune_one_shot`` calls it only where ``_transposes`` holds.
     """
-    if (pattern.n, pattern.m) != (2, 4):
-        raise PatternError(f"transposable search supports 2:4 only, got {pattern}")
-    if w.data.ndim != 2:
-        raise DimensionError(f"make_transposable needs a 2-d weight, got {w.shape}")
     rows, cols = w.shape
-    if rows % 4 or cols % 4:
-        raise PatternError(f"weight {rows}x{cols} needs both dims divisible by 4")
     sups = _supports_2_4().astype(np.float64)
     blocks = (
         np.abs(w.data.astype(np.float64))

@@ -160,7 +160,7 @@ def prune_one_shot(
     for i in fits:
         layer = model.layers[i]
         if transposable and _transposes(layer, pattern):
-            layer.mask = make_transposable(layer.weight, pattern)
+            layer.mask = make_transposable(layer.weight)
         else:
             layer.mask = project_mask(layer.weight, pattern)
         layer.pattern = pattern

@@ -286,7 +286,7 @@ def test_a09_transposable_masks_match_support_oracle(rng):
         rows = 4 * int(rng.integers(1, 9))
         cols = 4 * int(rng.integers(1, 9))
         w = rng.standard_normal((rows, cols)).astype(np.float32)
-        mask = make_transposable(Tensor(w), pat)
+        mask = make_transposable(Tensor(w))
         assert is_transposable(mask, pat)
         absw = np.abs(w.astype(np.float64))
         kept = absw * mask

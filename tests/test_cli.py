@@ -26,8 +26,8 @@ from sparsedm.checkpoint import (
     read_entries,
     write_entries,
 )
-from sparsedm.cli import COMMANDS, FLAGS, METRIC_NAME, OPTIONS, _defaults, main
-from sparsedm import diffusion, trainer
+from sparsedm.cli import COMMANDS, EXIT_CODES, FLAGS, METRIC_NAME, OPTIONS, _defaults, main
+from sparsedm import diffusion, errors, trainer
 from sparsedm.diffusion import NoisePredictor
 from sparsedm.evalbench import SWEEP_HEADER
 from sparsedm.rng import stream
@@ -380,6 +380,13 @@ def test_bad_pattern_exit_code(runs, tmp_path, pattern):
 def test_missing_checkpoint_exit_code(tmp_path):
     rc = main(["prune", "--out", str(tmp_path / "x"), "--ckpt", str(tmp_path / "none")])
     assert rc == 2
+
+
+def test_every_typed_error_has_one_exit_code():
+    # a typed error without a row ends in a traceback; a row cannot outlive its error, which cli imports
+    typed = [kind for kind in vars(errors).values() if isinstance(kind, type) and kind.__module__ == errors.__name__]
+    rows = [kind for kind, _ in EXIT_CODES if kind.__module__ == errors.__name__]
+    assert typed and sorted(rows, key=str) == sorted(typed, key=str)
 
 
 def test_dense_student_needs_pattern(runs, tmp_path):

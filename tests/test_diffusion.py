@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import threading
 from pathlib import Path
 
@@ -76,14 +77,6 @@ def test_q_sample_variance_matches_schedule(rng):
     var = x.astype(np.float64).var()
     want = 1.0 - s.alpha_bar[t]
     assert abs(var - want) / want <= 0.05
-
-
-def test_q_sample_rejects_bad_t():
-    s = make_schedule(4, 1e-4, 0.02)
-    with pytest.raises(IndexError):
-        q_sample(np.zeros((1, 2), np.float32), 4, np.zeros((1, 2), np.float32), s)
-    with pytest.raises(IndexError):
-        q_sample(np.zeros((1, 2), np.float32), -1, np.zeros((1, 2), np.float32), s)
 
 
 def test_posterior_mean_known_value():
@@ -223,6 +216,22 @@ def test_predictor_forward_rejects_out_of_range_t(rng, t):
         model.forward(x, t, 10)
     with pytest.raises(IndexError):
         model.forward(x, t, 10, [])
+
+
+# numpy would broadcast the (5, 1) and (2,) batches into the first layer's input without an error
+@pytest.mark.parametrize("shape", [(5, 1), (2,), (5, 3), (5, 2, 1)], ids=["5x1", "2", "5x3", "5x2x1"])
+def test_predictor_forward_rejects_malformed_points(rng, shape):
+    model = prune_one_shot(NoisePredictor.create(stream(0, "init"), hidden=(32,)), NMPattern(2, 4))
+    x = rng.standard_normal(shape).astype(np.float32)
+    calls = [
+        lambda: model.forward(x, 3, 10),
+        lambda: model.forward(x, 3, 10, []),
+        lambda: inference_forward(model, 10)(x, 3),
+        lambda: inference_forward(model, 10, compressed=True)(x, 3),
+    ]
+    for call in calls:
+        with pytest.raises(DimensionError, match=re.escape(f"(batch, 2), got {shape}")):
+            call()
 
 
 def test_create_rejects_indivisible_hidden():

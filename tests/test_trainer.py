@@ -11,7 +11,8 @@ from conftest import assert_close_rel, fd_grad
 from sparsedm.diffusion import DATA_DIM, NoisePredictor, make_schedule, time_embedding
 from sparsedm.errors import ArchitectureError, ConfigError, PatternError, TrainingError
 from sparsedm.rng import stream
-from sparsedm.sparsity import MaskedLinear, NMPattern, is_transposable, project_mask, satisfies
+from sparsedm.evalbench import DEFAULT_SWEEP_PATTERNS
+from sparsedm.sparsity import MaskedLinear, NMPattern, compress_2_4, is_transposable, project_mask, satisfies
 from sparsedm.tensor import Tensor, backward, mse_grad
 from sparsedm.trainer import TrainConfig, _apply_grads, prune_one_shot, ste_update, transfer_train
 
@@ -193,6 +194,44 @@ def test_prune_transposable_masks_where_possible():
     # final layer is 2x32: output dim not divisible, falls back to row projection
     assert model.layers[2].pattern == NMPattern(2, 4)
     assert satisfies(model.layers[2].mask, NMPattern(2, 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    hidden=st.lists(st.sampled_from([32, 64, 96, 128]), min_size=1, max_size=2),
+    temb_dim=st.sampled_from([64, 30, 126]),  # fc1 is 66, 32 or 128 wide
+    # 2:4, the compressed path's pattern, in about half the draws
+    pattern=st.just(NMPattern(2, 4)) | st.sampled_from(DEFAULT_SWEEP_PATTERNS),
+    transposable=st.booleans(),
+    strict=st.booleans(),
+    zero_frac=st.sampled_from([0.0, 0.3, 1.0]),
+    ties=st.booleans(),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_prune_masks_keep_the_invariants_the_pattern_ops_trust(
+    hidden, temb_dim, pattern, transposable, strict, zero_frac, ties, seed
+):
+    model = NoisePredictor.create(stream(seed, "init"), hidden=tuple(hidden), temb_dim=temb_dim)
+    r = np.random.default_rng(seed)
+    for layer in model.layers:
+        w = r.standard_normal(layer.weight.shape)
+        w[r.random(w.shape) < zero_frac] = 0.0
+        layer.weight = Tensor(np.round(w) if ties else w)
+    fits = [layer.in_features % pattern.m == 0 for layer in model.layers]
+    if not any(fits) or (strict and not all(fits)):
+        with pytest.raises(PatternError):
+            prune_one_shot(model, pattern, transposable, strict)
+        return
+    prune_one_shot(model, pattern, transposable, strict)
+    for layer, fit in zip(model.layers, fits):
+        assert layer.pattern == (pattern if fit else None)
+        assert satisfies(layer.mask, layer.pattern or NMPattern(1, 1))
+        if transposable and layer.pattern == NMPattern(2, 4) and layer.out_features % 4 == 0:
+            assert is_transposable(layer.mask, layer.pattern)
+        if layer.pattern == NMPattern(2, 4):
+            csr = compress_2_4(layer.effective_weight(), layer.mask).csr
+            assert csr.nnz == layer.out_features * layer.in_features // 2
+            assert np.array_equal(csr.toarray(), layer.effective_weight())
 
 
 def test_prune_weights_untouched():
