@@ -5,7 +5,10 @@ The chain trains three dense models (one on checkerboard with non-default
 betas), prunes to 2:4, transposable 2:4, 1:8 and, with ``--strict``, 1:2,
 transfer-trains six students (transfer, STE with frozen masks, progressive,
 distill-only, a transposable 2:4 and a 1:8 student), samples dense,
-compressed and as SVG, evaluates twice, and sweeps three patterns.  Every command
+compressed and as SVG, evaluates twice, and sweeps three patterns.  One more
+model has the default hidden widths and T = 100: a few dense steps, pruned to
+2:4, sampled at n = 2000 dense and compressed, the size sampling runs at in
+the benchmark.  Every command
 runs in this process through ``sparsedm.cli.main``, with paths relative to
 OUT, and its stdout is kept as ``stdout/<run>.txt``.  Output lines are
 ``sha256  relative-path``, sorted by path.
@@ -54,6 +57,10 @@ CHAIN = [
     ("sample-compressed", "sample", ["--ckpt", "transfer", "--n", "600", "--compressed"]),
     ("eval", "eval", ["--ckpt", "transfer", "--n", "256"]),
     ("eval-checker", "eval", ["--ckpt", "dense-checker", "--data", "checkerboard", "--n", "128"]),
+    ("dense-full", "train-dense", ["--steps", "8", "--batch-size", "32", "--T", "100", "--seed", "7"]),
+    ("p24-full", "prune", ["--ckpt", "dense-full", "--pattern", "2:4"]),
+    ("sample-full", "sample", ["--ckpt", "p24-full", "--n", "2000", "--seed", "8"]),
+    ("sample-full-compressed", "sample", ["--ckpt", "p24-full", "--n", "2000", "--compressed", "--seed", "8"]),
     ("sweep", "sweep", ["--ckpt", "dense", "--patterns", "2:4,1:4,1:8", "--n-eval", "64", "--seed", "5", *TRAIN]),
 ]
 

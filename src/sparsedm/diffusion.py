@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArchitectureError, CompressedPathError, ConfigError, DimensionError, TrainingError
-from .sparsity import CompressedLinear, MaskedLinear, NMPattern, masked_linear_forward
-from .tensor import mse_loss, silu
+from .sparsity import Compressed24, MaskedLinear, NMPattern, compress_2_4, masked_linear_forward, spmm
+from .tensor import _f64, linear_ste, mse_loss, silu
 
 DATA_DIM = 2
 
@@ -96,11 +96,24 @@ def _temb_table(T: int, dim: int) -> np.ndarray:
     return table
 
 
+def _check_input(x: np.ndarray, t, n_steps: int) -> np.ndarray:
+    """The model's input boundary: ``x`` is (batch, DATA_DIM), t a scalar or one per row, each in
+    [0, n_steps); returns t as int64."""
+    if x.ndim != 2 or x.shape[1] != DATA_DIM:
+        raise DimensionError(f"the model expects points of shape (batch, {DATA_DIM}), got {x.shape}")
+    t = np.asarray(t, dtype=np.int64)
+    if t.ndim and t.shape != x.shape[:1]:
+        raise DimensionError(f"the model expects a scalar timestep or {x.shape[0]} of them, got shape {t.shape}")
+    if t.size and (t.min() < 0 or t.max() >= n_steps):
+        raise IndexError(f"timestep out of range [0, {n_steps})")
+    return t
+
+
 @dataclass
 class NoisePredictor:
     """SiLU MLP predicting the noise from (x_t, time embedding)."""
 
-    layers: list[MaskedLinear | CompressedLinear]
+    layers: list[MaskedLinear]
     temb_dim: int = TEMB_DIM
 
     def __post_init__(self):
@@ -128,13 +141,8 @@ class NoisePredictor:
         return tuple(layer.out_features for layer in self.layers[:-1])
 
     def forward(self, x: np.ndarray, t, n_steps: int, cache: list | None = None) -> np.ndarray:
-        """Predicted noise for ``x`` at steps ``t``; a list ``cache`` receives what ``tensor.backward`` reads.
-        The model's input boundary: ``x`` must be (batch, DATA_DIM) and every t in [0, n_steps)."""
-        if x.ndim != 2 or x.shape[1] != DATA_DIM:
-            raise DimensionError(f"the model expects points of shape (batch, {DATA_DIM}), got {x.shape}")
-        t = np.asarray(t, dtype=np.int64)
-        if t.size and (t.min() < 0 or t.max() >= n_steps):
-            raise IndexError(f"timestep out of range [0, {n_steps})")
+        """Predicted noise for ``x`` at steps ``t``; a list ``cache`` receives what ``tensor.backward`` reads."""
+        t = _check_input(x, t, n_steps)
         temb = _temb_table(n_steps, self.temb_dim)[t]
         # the first layer's float64 input, from x as float32; a scalar t's one row fills every row
         h = np.empty((x.shape[0], DATA_DIM + self.temb_dim))
@@ -152,22 +160,34 @@ class NoisePredictor:
 
 
 def inference_forward(model: NoisePredictor, n_steps: int, compressed: bool = False):
-    """``fwd(x, t)`` over ``model.forward``; optionally run 2:4 layers via spmm.
+    """``fwd(x, t)``: ``model.forward`` without a cache, with its frozen-model work done once here.
 
-    The compressed path needs a 2:4 model: at least one masked layer, and
-    every masked layer 2:4.  Compressed forms are captured once, so the model
-    must stay frozen for the lifetime of the closure.
+    fc1's time columns fold into a float64 (n_steps, out) table ``temb @ W_t.T + b``, so each step's fc1
+    is ``x @ W_x.T + table[t]``; each later layer keeps its float64 effective weight or, with
+    ``compressed``, its 2:4 ``Compressed24`` for ``spmm``.  The compressed path needs a 2:4 model: at
+    least one masked layer, and every masked layer 2:4.  The model must stay frozen while ``fwd`` lives.
     """
     if compressed:
         patterns = {layer.pattern for layer in model.layers} - {None}
         if patterns != {NMPattern(2, 4)}:
             raise CompressedPathError("the compressed path needs a 2:4 model; prune to 2:4 first")
-        layers = [layer if layer.pattern is None else CompressedLinear.from_masked(layer)
-                  for layer in model.layers]
-        model = NoisePredictor(layers=layers, temb_dim=model.temb_dim)
+    first, *rest = model.layers
+    w1 = _f64(first.effective_weight())
+    w_x = w1[:, :DATA_DIM]
+    # both operands float64: numpy multiplies mixed dtypes without BLAS, about 400 times slower here
+    table = _f64(_temb_table(n_steps, model.temb_dim)) @ w1[:, DATA_DIM:].T + first.bias.data
+    layers = [(compress_2_4(layer.effective_weight(), layer.mask) if compressed and layer.pattern is not None
+               else _f64(layer.effective_weight()), layer.bias) for layer in rest]
 
     def fwd(x: np.ndarray, t) -> np.ndarray:
-        return model.forward(x, t, n_steps)
+        t = _check_input(x, t, n_steps)
+        h = _f64(x.astype(np.float32, copy=False)) @ w_x.T
+        h += table[t]
+        h = h.astype(np.float32)
+        for w, b in layers:
+            h = silu(h)
+            h = spmm(w, h) + b.data if isinstance(w, Compressed24) else linear_ste(h, w, b)
+        return h
 
     return fwd
 

@@ -113,18 +113,14 @@ class MaskedLinear:
         return self.weight.data * self.mask
 
 
-def masked_linear_forward(
-    x: np.ndarray, layer: MaskedLinear | CompressedLinear, cache: list | None = None
-) -> np.ndarray:
+def masked_linear_forward(x: np.ndarray, layer: MaskedLinear, cache: list | None = None) -> np.ndarray:
     """Forward through W*mask; the weight gradient skips the mask (straight-through).
 
     A list ``cache`` receives the float64 ``(input, W*mask)`` the product
-    uses, for ``tensor.backward``.  A frozen ``CompressedLinear`` runs
-    through ``spmm`` instead.  Trusts its caller for a (batch, in_features)
-    ``x``: ``NoisePredictor.forward`` checks the points and builds the rest.
+    uses, for ``tensor.backward``.  Trusts its caller for a (batch,
+    in_features) ``x``: ``NoisePredictor.forward`` checks the points and
+    builds the rest.
     """
-    if isinstance(layer, CompressedLinear):
-        return spmm(layer.weight, x) + layer.bias.data
     x, w_eff = _f64(x), _f64(layer.effective_weight())
     if cache is not None:
         cache.append((x, w_eff))
@@ -172,27 +168,6 @@ def spmm(c: Compressed24, x: np.ndarray) -> np.ndarray:
     # scipy multiplies a C-contiguous (cols, batch) operand without copying it again
     xt = np.ascontiguousarray(x.T, dtype=np.float64)
     return np.ascontiguousarray((c.csr @ xt).T, dtype=np.float32)
-
-
-@dataclass(frozen=True)
-class CompressedLinear:
-    """Frozen 2:4 layer: compressed weight plus bias, run through ``spmm``."""
-
-    name: str
-    weight: Compressed24
-    bias: Tensor
-
-    @classmethod
-    def from_masked(cls, layer: MaskedLinear) -> "CompressedLinear":
-        return cls(layer.name, compress_2_4(layer.effective_weight(), layer.mask), layer.bias)
-
-    @property
-    def in_features(self) -> int:
-        return self.weight.cols
-
-    @property
-    def out_features(self) -> int:
-        return self.weight.rows
 
 
 # ---------------------------------------------------------------------------

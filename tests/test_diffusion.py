@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import re
@@ -22,7 +23,7 @@ from sparsedm.diffusion import (
     toy_batch,
 )
 from sparsedm.errors import ArchitectureError, CompressedPathError, ConfigError, DimensionError
-from sparsedm.sparsity import CompressedLinear, MaskedLinear, NMPattern, spmm
+from sparsedm.sparsity import MaskedLinear, NMPattern, compress_2_4, spmm
 from sparsedm.trainer import prune_one_shot
 from sparsedm.tensor import backward, mse_grad
 from sparsedm.rng import stream
@@ -218,19 +219,23 @@ def test_predictor_forward_rejects_out_of_range_t(rng, t):
         model.forward(x, t, 10, [])
 
 
-# numpy would broadcast the (5, 1) and (2,) batches into the first layer's input without an error
-@pytest.mark.parametrize("shape", [(5, 1), (2,), (5, 3), (5, 2, 1)], ids=["5x1", "2", "5x3", "5x2x1"])
-def test_predictor_forward_rejects_malformed_points(rng, shape):
+# numpy would broadcast the (5, 1) and (2,) batches into the first layer's input, and the t cases
+# into the gathered time embedding, ending in its own untyped ValueError
+@pytest.mark.parametrize("shape,t", [((5, 1), 3), ((2,), 3), ((5, 3), 3), ((5, 2, 1), 3),
+                                     ((5, 2), [1, 2, 3]), ((5, 2), np.ones((5, 1), int))],
+                         ids=["5x1", "2", "5x3", "5x2x1", "t3", "t5x1"])
+def test_predictor_forward_rejects_malformed_points(rng, shape, t):
     model = prune_one_shot(NoisePredictor.create(stream(0, "init"), hidden=(32,)), NMPattern(2, 4))
     x = rng.standard_normal(shape).astype(np.float32)
     calls = [
-        lambda: model.forward(x, 3, 10),
-        lambda: model.forward(x, 3, 10, []),
-        lambda: inference_forward(model, 10)(x, 3),
-        lambda: inference_forward(model, 10, compressed=True)(x, 3),
+        lambda: model.forward(x, t, 10),
+        lambda: model.forward(x, t, 10, []),
+        lambda: inference_forward(model, 10)(x, t),
+        lambda: inference_forward(model, 10, compressed=True)(x, t),
     ]
+    want = f"(batch, 2), got {shape}" if shape != (5, 2) else f"got shape {np.shape(t)}"
     for call in calls:
-        with pytest.raises(DimensionError, match=re.escape(f"(batch, 2), got {shape}")):
+        with pytest.raises(DimensionError, match=re.escape(want)):
             call()
 
 
@@ -372,26 +377,36 @@ def test_sampler_on_a_second_thread_forks_nothing(monkeypatch):
 
 
 def _forward_reference(model, x, t, n_steps, compressed):
-    """``NoisePredictor.forward`` written out: a float32 input, float64 products rounded to float32."""
+    """``NoisePredictor.forward`` written out: a float32 input, float64 products rounded to float32.
+
+    The compressed case writes out the closure's fold: fc1's time columns make a per-step bias table.
+    """
     t = np.broadcast_to(t, (len(x),))
-    h = np.concatenate([x, time_embedding(t, n_steps, model.temb_dim)], axis=1).astype(np.float32)
-    for i, layer in enumerate(model.layers):
+    x = x.astype(np.float32)
+    first, *rest = model.layers
+    w1 = (first.weight.data * first.mask).astype(np.float64)
+    if compressed:
+        temb = time_embedding(np.arange(n_steps), n_steps, model.temb_dim).astype(np.float64)
+        table = temb @ w1[:, 2:].T + first.bias.data.astype(np.float64)
+        h = (x.astype(np.float64) @ w1[:, :2].T + table[t]).astype(np.float32)
+    else:
+        h0 = np.concatenate([x, time_embedding(t, n_steps, model.temb_dim)], axis=1).astype(np.float64)
+        h = (h0 @ w1.T + first.bias.data.astype(np.float64)).astype(np.float32)
+    for layer in rest:
+        h64 = h.astype(np.float64)
+        h = (h64 * sigmoid64_reference(h64)).astype(np.float32)
         if compressed and layer.pattern is not None:
-            comp = CompressedLinear.from_masked(layer)
-            h = spmm(comp.weight, h) + comp.bias.data
+            h = spmm(compress_2_4(layer.weight.data * layer.mask, layer.mask), h) + layer.bias.data
         else:
             w_eff = (layer.weight.data * layer.mask).astype(np.float64)
             h = (h.astype(np.float64) @ w_eff.T + layer.bias.data.astype(np.float64)).astype(np.float32)
-        if i < len(model.layers) - 1:
-            h64 = h.astype(np.float64)
-            h = (h64 * sigmoid64_reference(h64)).astype(np.float32)
     return h
 
 
 @pytest.mark.parametrize("t", [7, "per-row"])
 @pytest.mark.parametrize("kind", ["dense", "2:4", "compressed"])
 def test_forward_matches_written_out_reference(rng, kind, t):
-    # temb 62 makes fc1 64 wide, so the compressed path runs fc1 through spmm too
+    # temb 62 makes fc1 64 wide, so 2:4 masks fc1 too, and its fold runs on the masked weight
     model = NoisePredictor.create(stream(4, "init"), hidden=(64, 32), temb_dim=62)
     if kind != "dense":
         prune_one_shot(model, NMPattern(2, 4))
@@ -408,6 +423,22 @@ def test_forward_matches_written_out_reference(rng, kind, t):
             assert all(a.dtype == np.float64 for entry in cache for a in entry)
 
 
+@pytest.mark.parametrize("kind", ["dense", "2:4"])
+def test_folded_forward_matches_forward_at_full_size(kind):
+    """The default model at T = 100 and n = 2000: the closure's fold gives ``forward``'s bytes at every step.
+
+    The fold reorders a float64 sum, so this is measured equality, not equality by construction.
+    """
+    model = NoisePredictor.create(stream(5, "init"))
+    if kind != "dense":
+        prune_one_shot(model, NMPattern(2, 4))
+    fwd = inference_forward(model, 100)
+    rng = stream(5, "sample")
+    for t in range(100):
+        x = (rng.standard_normal((2000, 2)) * (1.0 + t / 25)).astype(np.float32)
+        assert fwd(x, t).tobytes() == model.forward(x, t, 100).tobytes(), t
+
+
 class _GaussOracle:
     """Exact noise posterior for x0 ~ N(c, I): eps(x,t) = (x - sqrt(ab)c) sqrt(1-ab)."""
 
@@ -422,10 +453,13 @@ class _GaussOracle:
         return out.astype(np.float32)
 
 
-def test_sampler_recovers_gaussian_mean():
+def test_sampler_recovers_gaussian_mean(monkeypatch):
     # schedule strong enough that alpha_bar_T ~ 2e-5, so the N(0,I) start
     # matches the true terminal marginal and the chain mean is unbiased
     s = make_schedule(100, 1e-3, 0.2)
+    # the oracle has no layers to fold: the chain calls its forward directly
+    monkeypatch.setattr(diffusion, "inference_forward",
+                        lambda model, n_steps, compressed=False: functools.partial(model.forward, n_steps=n_steps))
     center = np.array([1.0, -2.0])
     n = 4096
     out = ddpm_sample(_GaussOracle(center, s), n, s, stream(11, "sample")).astype(np.float64)
