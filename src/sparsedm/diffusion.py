@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import copy
 import functools
-import mmap
 import os
 import pickle
 import signal
@@ -258,8 +257,9 @@ def fork_cpus() -> int:
 def _forked(fn, what: str):
     """Run ``fn()`` in a forked child that ignores Ctrl-C (the parent's) and exits 0, or 1 if it raises.
 
-    The block gets ``join()``: it reads the child's pickled exception to EOF, reaps the child, and
-    re-raises that exception, or raises ``TrainingError`` for a non-zero exit; an unjoined child is killed.
+    The block gets ``join()``: it reads the child's pickled result or exception to EOF and reaps the
+    child.  It returns ``fn()``'s value on exit 0, and otherwise re-raises the exception, or raises
+    ``TrainingError`` for a non-zero exit with none; an unjoined child is killed.
     """
     r, w = os.pipe()
     with warnings.catch_warnings():
@@ -270,7 +270,9 @@ def _forked(fn, what: str):
         try:
             os.close(r)
             signal.signal(signal.SIGINT, signal.SIG_IGN)
-            fn()
+            data = pickle.dumps(fn())  # first, so that w is still open for what fn() or pickling raises
+            with open(w, "wb", closefd=False) as out:
+                out.write(data)  # all of it: os.write may stop short past the pipe buffer
             os._exit(0)
         except BaseException as e:
             data = pickle.dumps(e)
@@ -280,13 +282,14 @@ def _forked(fn, what: str):
             os._exit(1)
     os.close(w)
 
-    def join() -> None:
+    def join():
         nonlocal pid
-        err = open(r, "rb", closefd=False).read()  # EOF once the child exits
+        data = open(r, "rb", closefd=False).read()  # EOF once the child exits
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         pid = None
-        if err or code:
-            raise pickle.loads(err) if err else TrainingError(f"{what} exited with code {code}")
+        if code == 0:
+            return pickle.loads(data)
+        raise pickle.loads(data) if data else TrainingError(f"{what} exited with code {code}")
 
     try:
         yield join
@@ -295,34 +298,6 @@ def _forked(fn, what: str):
         if pid is not None:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-
-
-def _shared_zeros(shape, dtype) -> np.ndarray:
-    """Zeros in an anonymous shared mapping: after a fork, what one process writes there the other reads."""
-    return np.frombuffer(mmap.mmap(-1, int(np.prod(shape)) * np.dtype(dtype).itemsize), dtype).reshape(shape)
-
-
-def _sample_chunks(fwd, sched: NoiseSchedule, rng: np.random.Generator, n: int, w: int) -> np.ndarray:
-    """Run w contiguous row chunks of the reverse chain at once, one per process.
-
-    Chunk 0 runs here on the caller's generator, which ends where the one-chunk
-    loop leaves it; each other chunk runs in a forked child on the generator it
-    inherits.  OpenBLAS is held to one thread, leaving the cores to the chunks.
-    The children join in chunk order: the first failing chunk raises, and the rest are killed.
-    """
-    edges = [n * i // w for i in range(w + 1)]
-    out = _shared_zeros((n, DATA_DIM), np.float32)
-
-    def chunk(lo: int, hi: int) -> None:
-        out[lo:hi] = _reverse_chain(fwd, sched, rng, n, lo, hi)
-
-    with contextlib.ExitStack() as children, _one_blas_thread():
-        joins = [children.enter_context(_forked(functools.partial(chunk, lo, hi), "a sampling worker"))
-                 for lo, hi in zip(edges[1:-1], edges[2:])]
-        chunk(0, edges[1])
-        for join in joins:
-            join()
-    return out
 
 
 def ddpm_sample(
@@ -334,17 +309,24 @@ def ddpm_sample(
 ) -> np.ndarray:
     """Ancestral sampling from pure noise; deterministic given the generator state.
 
-    The rows split into at most ``fork_cpus()`` chunks of ``SAMPLE_CHUNK_ROWS``
-    rows or more, and every chunk but the first runs in a forked process.
-    The samples and the generator's state afterwards do not depend on the chunks.
+    The rows split into at most ``fork_cpus()`` chunks of ``SAMPLE_CHUNK_ROWS`` rows or more.  Chunk 0
+    runs here on the caller's generator; every other chunk runs in a forked child on the generator it
+    inherits and returns its rows, joined in chunk order: the first failing chunk raises, the rest are
+    killed.  The samples and the generator's state afterwards do not depend on the chunks.
     Non-finite samples raise ``TrainingError``, as a diverged training loss does.
     """
     if n < 0:
         raise ConfigError(f"sample count must be >= 0, got {n}")
     fwd = inference_forward(model, sched.T, compressed)
     w = max(1, min(fork_cpus(), n // SAMPLE_CHUNK_ROWS))
-    # one chunk keeps OpenBLAS's own threads: holding them to one measured slower (README, `sample`)
-    x = _reverse_chain(fwd, sched, rng, n, 0, n) if w == 1 else _sample_chunks(fwd, sched, rng, n, w)
+    edges = [n * i // w for i in range(w + 1)]
+    with contextlib.ExitStack() as children:
+        # OpenBLAS's own threads would take the chunks' cores, but one chunk runs faster with them (README)
+        if w > 1:
+            children.enter_context(_one_blas_thread())
+        joins = [children.enter_context(_forked(functools.partial(_reverse_chain, fwd, sched, rng, n, lo, hi),
+                                                "a sampling worker")) for lo, hi in zip(edges[1:-1], edges[2:])]
+        x = np.concatenate([_reverse_chain(fwd, sched, rng, n, 0, edges[1]), *(join() for join in joins)])
     if not np.isfinite(x).all():
         raise TrainingError(f"sampling diverged: {np.count_nonzero(~np.isfinite(x))} non-finite coordinates")
     return x

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import mmap
 import os
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -32,7 +33,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .diffusion import DATA_DIM, NoisePredictor, NoiseSchedule, ddpm_sample, diffusion_loss, q_sample, toy_batch
-from .diffusion import _forked, _one_blas_thread, _shared_zeros, fork_cpus
+from .diffusion import _forked, _one_blas_thread, fork_cpus
 from .errors import ArchitectureError, ConfigError, PatternError, TrainingError
 from .rng import stream
 from .sparsity import MaskedLinear, NMPattern, is_transposable, make_transposable, project_mask
@@ -207,6 +208,11 @@ def _distill_branch(student, teacher, bank, sched, config, rng, wait=lambda: Non
 # large one.  The fork breaks even after 3 to 13 steps; toy runs (4 steps)
 # stay in one process.
 FORK_MIN_STEPS = 11
+
+
+def _shared_zeros(shape, dtype) -> np.ndarray:
+    """Zeros in an anonymous shared mapping: after a fork, what one process writes there the other reads."""
+    return np.frombuffer(mmap.mmap(-1, int(np.prod(shape)) * np.dtype(dtype).itemsize), dtype).reshape(shape)
 
 
 @contextlib.contextmanager

@@ -1,14 +1,16 @@
 import functools
 import math
 import os
+import pickle
 import re
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sparsedm import diffusion
+from sparsedm import diffusion, trainer
 from sparsedm.diffusion import (
     TEMB_DIM,
     NoisePredictor,
@@ -294,7 +296,7 @@ def test_sampler_matches_serial_reference(monkeypatch, cpus, kind):
     s = make_schedule(4, 1e-4, 0.02)
     # per chunk, keyed by its first row: posterior_mean calls and the rows they saw.  Each chunk
     # writes only its own slot, and the mapping is shared, so forked chunks count too.
-    calls = diffusion._shared_zeros((2, 2050), np.int64)
+    calls = trainer._shared_zeros((2, 2050), np.int64)
     first_row = []
     real_chain = diffusion._reverse_chain
 
@@ -356,6 +358,64 @@ def test_sampler_chunk_failure_reaches_caller(monkeypatch):
     finally:
         if blas:
             blas[1](saved)
+
+
+def test_one_sampling_chunk_keeps_blas_threads(monkeypatch):
+    """One chunk steps on OpenBLAS's own threads and two chunks on one; both leave the count as they found it."""
+    blas = diffusion._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    model = NoisePredictor.create(stream(2, "init"), hidden=(32,))
+    inside, caller = [], os.getpid()
+
+    def recording(*args):
+        if os.getpid() == caller:
+            inside.append(blas[0]())
+        return posterior_mean(*args)
+
+    _pin_cpus(monkeypatch, 2)
+    monkeypatch.setattr(diffusion, "posterior_mean", recording)
+    saved = blas[0]()
+    blas[1](2)
+    try:
+        for n, threads in ((300, 2), (600, 1)):  # 300 rows make one chunk, 600 make two
+            inside.clear()
+            ddpm_sample(model, n, make_schedule(3), stream(0, "sample"))
+            assert inside == [threads] * 3 and blas[0]() == 2, n
+            _assert_no_child_left()
+    finally:
+        blas[1](saved)
+
+
+def test_forked_returns_the_childs_value():
+    """``join()`` returns what ``fn()`` returned in the child, however large."""
+    with diffusion._forked(lambda: ("rows", 3), "a test child") as join:
+        assert join() == ("rows", 3)
+    _assert_no_child_left()
+    # 1 MiB, 16 times the 64 KiB pipe buffer: a partial write would come back short
+    big = stream(0, "sample").standard_normal(1 << 18).astype(np.float32)
+    with diffusion._forked(lambda: big, "a test child") as join:
+        got = join()
+    assert got.dtype == big.dtype and got.tobytes() == big.tobytes()
+    _assert_no_child_left()
+
+
+def test_forked_unpicklable_value_raises_in_caller():
+    """A value that will not pickle in the child raises the pickling error in the caller."""
+    with diffusion._forked(lambda: lambda: 0, "a test child") as join:
+        # AttributeError up to Python 3.13, PicklingError from 3.14
+        with pytest.raises((pickle.PicklingError, AttributeError), match="pickle"):
+            join()
+    _assert_no_child_left()
+
+
+def test_forked_unjoined_child_is_killed():
+    """Leaving the block without ``join()`` kills the child instead of waiting for it."""
+    start = time.monotonic()
+    with diffusion._forked(lambda: time.sleep(60), "a test child"):
+        pass
+    assert time.monotonic() - start < 30
+    _assert_no_child_left()
 
 
 def test_sampler_on_a_second_thread_forks_nothing(monkeypatch):
