@@ -10,22 +10,33 @@ model has the default hidden widths and T = 100: a few dense steps, pruned to
 2:4, sampled at n = 2000 dense and compressed, the size sampling runs at in
 the benchmark.  Every command
 runs in this process through ``sparsedm.cli.main``, with paths relative to
-OUT, and its stdout is kept as ``stdout/<run>.txt``.  Output lines are
-``sha256  relative-path``, sorted by path.
+OUT, and its stdout is kept as ``stdout/<run>.txt``.  The first output
+line is ``# `` and the environment key (``environment_key``); then come
+lines ``sha256  relative-path``, sorted by path.
 
 Two source trees write the same bytes when their digests match:
 
     PYTHONPATH=../parent/src python3 scripts/chain_digests.py /tmp/a > a.txt
     PYTHONPATH=src python3 scripts/chain_digests.py /tmp/b > b.txt
     diff a.txt b.txt
+
+``tests/chain_digests.txt`` holds this output for the current ``src/``, and
+the test suite compares a fresh run with it wherever the key matches.  A
+change that moves output bytes rewrites it in the same commit:
+
+    PYTHONPATH=src python3 scripts/chain_digests.py /tmp/c > tests/chain_digests.txt
 """
 import argparse
 import contextlib
+import ctypes
 import hashlib
 import io
 import os
+import platform
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import sparsedm.cli
 
@@ -65,6 +76,20 @@ CHAIN = [
 ]
 
 
+def environment_key() -> str:
+    """Python, numpy and the build string of the OpenBLAS numpy loaded.  That string names the core
+    whose kernels a DYNAMIC_ARCH build picked, and float64 results, so digests, may differ by core."""
+    blas = "no OpenBLAS"
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for name in ("scipy_openblas_get_config64_", "openblas_get_config64_", "openblas_get_config"):
+            if (get := getattr(handle, name, None)) is not None:
+                get.argtypes, get.restype = [], ctypes.c_char_p
+                blas = get().decode()
+                break
+    return f"python {platform.python_version()}, numpy {np.__version__}, {blas}"
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out", type=Path, help="a new directory for the chain's files")
@@ -81,6 +106,7 @@ def main() -> int:
             print(f"{run}: sparsedm {cmd} exited {code}", file=sys.stderr)
             return 1
         Path("stdout", f"{run}.txt").write_text(text.getvalue())
+    print(f"# {environment_key()}")
     for path in sorted(p.as_posix() for p in Path().rglob("*") if p.is_file()):
         print(f"{hashlib.sha256(Path(path).read_bytes()).hexdigest()}  {path}")
     return 0

@@ -165,6 +165,11 @@ def inference_forward(model: NoisePredictor, n_steps: int, compressed: bool = Fa
     is ``x @ W_x.T + table[t]``; each later layer keeps its float64 effective weight or, with
     ``compressed``, its 2:4 ``Compressed24`` for ``spmm``.  The compressed path needs a 2:4 model: at
     least one masked layer, and every masked layer 2:4.  The model must stay frozen while ``fwd`` lives.
+
+    The fold adds the point and time parts in another order than ``model.forward``, so the two agree
+    by measurement only, and only for a scalar t as sampling passes: 0 of 1,200,000 outputs differ at
+    n = 2000 over T = 100 steps, but with per-row t at batch 128, 1 of 2,048,000 differ over four
+    300-step teachers (2,000 batches each).
     """
     if compressed:
         patterns = {layer.pattern for layer in model.layers} - {None}

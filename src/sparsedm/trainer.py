@@ -8,7 +8,8 @@ regularized straight-through update
 
 so kept positions see the plain gradient while pruned positions decay toward
 zero.  Dense pretraining is the case with no teacher term, an empty mask
-schedule and all-ones masks, where the lambda_w term is exactly zero.
+schedule and all-ones masks, where the lambda_w term is exactly zero, so
+``_apply_grads`` skips it for every layer with no pattern.
 
 The mask schedule is ``TrainConfig.schedule``: pattern ``i`` is active from
 step ``i * switch_every`` on, the last one to the end.  Masks re-project from
@@ -113,13 +114,18 @@ def ste_update(w: Tensor, grad: np.ndarray, mask: np.ndarray, lr: float, lambda_
     """One regularized straight-through step; float64 math, float32 result.
 
     The lambda_w term is exactly zero at kept positions (W equals W*mask
-    there), so only pruned entries feel the pull toward zero.
+    there), so only pruned entries feel the pull toward zero.  The float64
+    steps of ``w - lr * (g + lambda_w * (w - w * mask))`` run in that order, in place on copies.
     """
     w64 = w.data.astype(np.float64)
     g64 = grad.astype(np.float64)
     if lambda_w:
-        g64 = g64 + lambda_w * (w64 - w64 * mask)
-    return Tensor(w64 - lr * g64)
+        decay = np.multiply(w64, mask)
+        np.subtract(w64, decay, out=decay)
+        decay *= lambda_w
+        g64 += decay
+    g64 *= lr
+    return Tensor(np.subtract(w64, g64, out=g64))
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +179,17 @@ def prune_one_shot(
 # ---------------------------------------------------------------------------
 
 def _apply_grads(model: NoisePredictor, branch_grads: list[list], lr: float, lambda_w: float) -> None:
-    """Sum each layer's float64 gradients over the loss branches, round the sums to float32, then take one step."""
+    """Sum each layer's float64 gradients over the loss branches, round the sums to float32, then take one step.
+
+    A layer with no pattern skips the lambda_w term: under its all-ones mask the
+    term is +0.0 for finite weights, and adding it changes no sum, which holds
+    no -0.0 (``backward`` adds each gradient to 0.0).  A non-finite weight
+    fails a loss or weight check before any checkpoint is written.
+    """
     for layer, *per_branch in zip(model.layers, *branch_grads):
         gw = sum(gw for gw, _ in per_branch).astype(np.float32)
         gb = sum(gb for _, gb in per_branch).astype(np.float32)
-        layer.weight = ste_update(layer.weight, gw, layer.mask, lr, lambda_w)
+        layer.weight = ste_update(layer.weight, gw, layer.mask, lr, 0.0 if layer.pattern is None else lambda_w)
         layer.bias = Tensor(layer.bias.data - lr * gb.astype(np.float64))
 
 
@@ -194,6 +206,8 @@ def _distill_branch(student, teacher, bank, sched, config, rng, wait=lambda: Non
         td = rng.integers(0, sched.T, size=config.batch_size)
         eps_d = rng.standard_normal(x0.shape).astype(np.float32)
         x_td = q_sample(x0, td, eps_d, sched)
+        # not inference_forward: with per-row t its folded fc1 can round an output differently, and
+        # the targets would then change the training bytes
         target = teacher.forward(x_td, td, sched.T)
         wait()
         cache = []

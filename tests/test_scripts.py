@@ -45,14 +45,21 @@ def test_sweep_and_pipeline_scripts(tmp_path):
 
 
 def test_chain_digests_cover_every_file_and_repeat(tmp_path):
-    """The byte-identity chain lists each file it wrote once, sorted, and a second run prints the same digests."""
+    """The byte-identity chain lists each file it wrote once, sorted, a second run prints the same digests,
+    and under the environment key tests/chain_digests.txt was recorded with, the first run prints that file."""
     first, second = (_run_python([str(ROOT / "scripts" / "chain_digests.py"), str(tmp_path / d)], tmp_path)
                      for d in ("a", "b"))
     assert first == second
-    paths = [line.split("  ", 1)[1] for line in first.splitlines()]
+    key, *lines = first.splitlines()
+    paths = [line.split("  ", 1)[1] for line in lines]
     written = sorted(p.relative_to(tmp_path / "a").as_posix() for p in (tmp_path / "a").rglob("*") if p.is_file())
     assert paths == written and len(paths) >= 42
     assert {"stdout/sweep.txt", "sample/samples.svg", "sample-compressed/samples.csv", "eval/report.json"} <= set(paths)
+    recorded_key, *recorded = (ROOT / "tests" / "chain_digests.txt").read_text().splitlines()
+    if key != recorded_key:
+        pytest.skip(f"digests recorded under another environment key: {recorded_key!r}, here {key!r}")
+    moved = sorted({line.split("  ", 1)[1] for line in set(lines) ^ set(recorded)})
+    assert not moved, f"output bytes differ from tests/chain_digests.txt in {moved}"
 
 
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsedm.errors import PatternError
+from sparsedm.evalbench import DEFAULT_SWEEP_PATTERNS
 from sparsedm.sparsity import (
+    RANK_MIN_GROUPS,
     MaskedLinear,
     NMPattern,
     compress_2_4,
@@ -98,6 +100,57 @@ def test_projection_optimal_large_m_sort_oracle(m, seed):
     kept = (np.abs(w.data.astype(np.float64)) * mask).sum()
     best = np.sort(np.abs(w.data.astype(np.float64)), axis=1)[:, m - n:].sum()
     assert abs(kept - best) <= 1e-6
+
+
+def _argsort_mask(w: np.ndarray, pattern: NMPattern) -> np.ndarray:
+    """Reference projection: per group, a stable argsort of the negated magnitudes, first n kept."""
+    mags = np.abs(w).reshape(-1, pattern.m)
+    order = np.argsort(-mags, axis=1, kind="stable")
+    bits = np.zeros(mags.shape, np.uint8)
+    np.put_along_axis(bits, order[:, : pattern.n], 1, axis=1)
+    return bits.reshape(w.shape)
+
+
+PROJECTION_PATTERNS = sorted({*DEFAULT_SWEEP_PATTERNS, NMPattern(4, 8)}, key=lambda p: (p.m, p.n))
+# fc3's shape and a small one rank by sort, the rest by comparisons, for every pattern above
+PROJECTION_SHAPES = [(2, 128), (4, 32), (128, 128), (256, 256)]
+# each kind overwrites a share of the standard normal entries: ties, zeros of either sign, infinities, NaN
+ENTRY_KINDS = {
+    "rounded": lambda w, sign: np.round(w),
+    "zero": lambda w, sign: np.zeros_like(w),
+    "signed-zero": lambda w, sign: sign * np.float32(0.0),
+    "inf": lambda w, sign: sign * np.float32(np.inf),
+    "nan": lambda w, sign: np.full_like(w, np.nan),
+}
+
+
+def test_projection_shapes_reach_both_rankings():
+    for p in PROJECTION_PATTERNS:
+        assert {rows * cols // p.m >= RANK_MIN_GROUPS for rows, cols in PROJECTION_SHAPES} == {False, True}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(PROJECTION_PATTERNS), st.sampled_from(PROJECTION_SHAPES),
+       st.lists(st.sampled_from(sorted(ENTRY_KINDS)), max_size=3), st.floats(0.05, 1.0), st.integers(0, 2 ** 31 - 1))
+def test_projection_equals_stable_argsort(pattern, shape, kinds, share, seed):
+    r = np.random.default_rng(seed)
+    w = r.standard_normal(shape).astype(np.float32)
+    for kind in kinds:
+        at = r.random(shape) < share
+        sign = np.where(r.random(shape) < 0.5, np.float32(-1.0), np.float32(1.0))
+        w[at] = ENTRY_KINDS[kind](w, sign)[at]
+    mask = project_mask(Tensor(w), pattern)
+    assert mask.dtype == np.uint8 and mask.flags.c_contiguous and mask.shape == shape
+    assert np.array_equal(mask, _argsort_mask(w, pattern))
+    assert satisfies(mask, pattern)
+
+
+@pytest.mark.parametrize("rows", [2, 128])  # ranked by sort, then by comparisons
+@pytest.mark.parametrize("pattern,kept", [("1:4", [0, 1, 0, 0]), ("2:4", [0, 1, 0, 1]), ("3:4", [1, 1, 0, 1])])
+def test_projection_ranks_nan_below_zero_lower_index_first(rows, pattern, kept):
+    w = np.tile(np.float32([np.nan, 1.0, np.nan, 0.0]), (rows, 32))
+    mask = project_mask(Tensor(w), NMPattern.parse(pattern))
+    assert (mask.reshape(-1, 4) == kept).all()
 
 
 def test_masked_linear_all_ones_equals_plain(rng):

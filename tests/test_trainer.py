@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_close_rel, fd_grad
+from sparsedm.checkpoint import CKPT_NAME, save_model
 from sparsedm.diffusion import DATA_DIM, NoisePredictor, make_schedule, time_embedding
 from sparsedm.errors import ArchitectureError, ConfigError, PatternError, TrainingError
 from sparsedm.rng import stream
@@ -80,6 +81,46 @@ def test_ste_update_matches_closed_form_random(rng):
     w64 = w0.astype(np.float64)
     want = w64 - lr * (g0.astype(np.float64) + lam * (w64 - w64 * mask))
     assert np.abs(got.astype(np.float64) - want).max() <= 1e-6
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-4, 0.3])
+def test_ste_update_is_the_plain_expression_and_leaves_its_inputs(rng, lam):
+    w0 = rng.standard_normal((16, 32)).astype(np.float32)
+    w0[0, :4] = [0.0, -0.0, 1e-38, -3.0e38]
+    g0 = rng.standard_normal((16, 32)).astype(np.float32)
+    mask = project_mask(Tensor(w0), NMPattern(1, 4))
+    w, saved = Tensor(w0), (w0.copy(), g0.copy(), mask.copy())
+    got = ste_update(w, g0, mask, 0.07, lam)
+    w64, g64 = w0.astype(np.float64), g0.astype(np.float64)
+    want = np.float32(w64 - 0.07 * (g64 + lam * (w64 - w64 * mask)))
+    assert np.array_equal(got.data.view(np.uint32), want.view(np.uint32))
+    assert isinstance(got, Tensor) and got is not w
+    assert not any(np.shares_memory(got.data, a) for a in (w.data, g0, mask))
+    for before, after in zip(saved, (w.data, g0, mask)):
+        assert np.array_equal(before.view(np.uint8), after.view(np.uint8))
+
+
+def test_ste_update_lambda_w_term_is_exactly_zero_under_an_all_ones_mask(rng):
+    w0 = rng.standard_normal((8, 66)).astype(np.float32)
+    w0[0, :3] = [0.0, -0.0, 2.5e38]
+    g0 = rng.standard_normal((8, 66)).astype(np.float32)
+    g0[0, 3] = 0.0
+    ones = np.ones(w0.shape, np.uint8)
+    with_term = ste_update(Tensor(w0), g0, ones, 0.2, 1e-4).data
+    assert np.array_equal(with_term.view(np.uint32), ste_update(Tensor(w0), g0, ones, 0.2, 0.0).data.view(np.uint32))
+
+
+def test_lambda_w_never_changes_dense_training_bytes(tmp_path):
+    """Dense layers skip the lambda_w term; a 1:1 schedule applies it to the same all-ones masks.
+    Both write the model.ckpt that lambda_w = 0 writes."""
+    sched = make_schedule(10, 1e-4, 0.02)
+    runs = {"dense-0": ((), 0.0), "dense-1e-4": ((), 1e-4), "all-ones-1e-4": ((NMPattern(1, 1),), 1e-4)}
+    for name, (schedule, lam) in runs.items():
+        model, _ = transfer_train(_model(4, (32, 32)), None, "gauss8", sched,
+                                  TrainConfig(steps=30, batch_size=16, seed=4, lambda_w=lam, schedule=schedule))
+        save_model(tmp_path / name, model, sched, seed=4)
+    ckpts = {(tmp_path / name / CKPT_NAME).read_bytes() for name in runs}
+    assert len(ckpts) == 1
 
 
 # ---------------------------------------------------------------------------
