@@ -77,8 +77,9 @@ CHAIN = [
 
 
 def environment_key() -> str:
-    """Python, numpy and the build string of the OpenBLAS numpy loaded.  That string names the core
-    whose kernels a DYNAMIC_ARCH build picked, and float64 results, so digests, may differ by core."""
+    """Python, numpy and the runtime get_config string of the OpenBLAS numpy loaded.  That string
+    names the core a DYNAMIC_ARCH build picked at load, and float64 results, so digests, may differ
+    by core.  numpy's build-time string (``np.show_config``) names the build target instead."""
     blas = "no OpenBLAS"
     for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
         handle = ctypes.CDLL(str(lib))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from sparsedm.errors import PatternError
 from sparsedm.evalbench import DEFAULT_SWEEP_PATTERNS
 from sparsedm.sparsity import (
-    RANK_MIN_GROUPS,
     MaskedLinear,
     NMPattern,
     compress_2_4,
@@ -112,7 +111,7 @@ def _argsort_mask(w: np.ndarray, pattern: NMPattern) -> np.ndarray:
 
 
 PROJECTION_PATTERNS = sorted({*DEFAULT_SWEEP_PATTERNS, NMPattern(4, 8)}, key=lambda p: (p.m, p.n))
-# fc3's shape and a small one rank by sort, the rest by comparisons, for every pattern above
+# fc3's shape, a small one, fc2's and a larger one
 PROJECTION_SHAPES = [(2, 128), (4, 32), (128, 128), (256, 256)]
 # each kind overwrites a share of the standard normal entries: ties, zeros of either sign, infinities, NaN
 ENTRY_KINDS = {
@@ -122,11 +121,6 @@ ENTRY_KINDS = {
     "inf": lambda w, sign: sign * np.float32(np.inf),
     "nan": lambda w, sign: np.full_like(w, np.nan),
 }
-
-
-def test_projection_shapes_reach_both_rankings():
-    for p in PROJECTION_PATTERNS:
-        assert {rows * cols // p.m >= RANK_MIN_GROUPS for rows, cols in PROJECTION_SHAPES} == {False, True}
 
 
 @settings(max_examples=120, deadline=None)
@@ -145,7 +139,17 @@ def test_projection_equals_stable_argsort(pattern, shape, kinds, share, seed):
     assert satisfies(mask, pattern)
 
 
-@pytest.mark.parametrize("rows", [2, 128])  # ranked by sort, then by comparisons
+@pytest.mark.parametrize("m", [128, 129, 256])  # the widest int8 score, then int16
+def test_projection_wide_groups_equal_stable_argsort(m):
+    r = np.random.default_rng(m)
+    w = np.round(r.standard_normal((3, 2 * m)), 1).astype(np.float32)
+    w[0, :m] = 0.0  # one all-tied group: its first column beats all m - 1 others
+    for n in (1, m // 2, m - 1, m):
+        mask = project_mask(Tensor(w), NMPattern(n, m))
+        assert np.array_equal(mask, _argsort_mask(w, NMPattern(n, m)))
+
+
+@pytest.mark.parametrize("rows", [2, 128])
 @pytest.mark.parametrize("pattern,kept", [("1:4", [0, 1, 0, 0]), ("2:4", [0, 1, 0, 1]), ("3:4", [1, 1, 0, 1])])
 def test_projection_ranks_nan_below_zero_lower_index_first(rows, pattern, kept):
     w = np.tile(np.float32([np.nan, 1.0, np.nan, 0.0]), (rows, 32))
