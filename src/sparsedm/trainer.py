@@ -17,9 +17,10 @@ the current magnitudes every step, or with ``freeze_masks`` only at each
 pattern's first step.
 
 With both loss terms on, a run of at least ``FORK_MIN_STEPS`` steps on two
-or more CPUs runs the distillation term in a forked worker process while
-this one runs the noise term (``_distill_steps``); the results are the same
-to the byte.  The worker's exception reaches the caller as it would from this
+or more CPUs runs the distillation term in a forked worker that reads the
+student's arrays, shared from the fork on and written in place by each step,
+after a one-byte token (``_distill_steps``); the results are the same to the
+byte.  The worker's exception reaches the caller as it would from this
 process, a killed worker raises ``TrainingError``, and Ctrl-C kills it at once.
 """
 from __future__ import annotations
@@ -148,28 +149,27 @@ def prune_one_shot(
     transposable: bool = False,
     strict: bool = False,
 ) -> NoisePredictor:
-    """Project masks from current magnitudes; weights stay untouched.
+    """Project masks from current magnitudes into each layer's mask array; weights stay untouched.
 
     Layers whose input width the group size does not divide keep their dense
     all-ones mask (the toy predictor's first layer is 66 wide, which no
     power-of-two group size divides).  ``strict`` turns that skip into an
     error; a pattern that fits no layer at all always errors.
     """
-    fits = [i for i, layer in enumerate(model.layers) if layer.in_features % pattern.m == 0]
+    fits = [layer for layer in model.layers if layer.in_features % pattern.m == 0]
     if not fits:
         shapes = ", ".join(f"{l.name}={l.in_features}" for l in model.layers)
         raise PatternError(f"group size {pattern.m} divides no layer input width ({shapes})")
     if strict and len(fits) != len(model.layers):
-        bad = next(l for i, l in enumerate(model.layers) if i not in fits)
+        bad = next(l for l in model.layers if l.in_features % pattern.m)
         raise PatternError(
             f"layer {bad.name} input width {bad.in_features} not divisible by {pattern.m}"
         )
-    for i in fits:
-        layer = model.layers[i]
+    for layer in fits:
         if transposable and _transposes(layer, pattern):
-            layer.mask = make_transposable(layer.weight)
+            layer.mask[...] = make_transposable(layer.weight)
         else:
-            layer.mask = project_mask(layer.weight, pattern)
+            layer.mask[...] = project_mask(layer.weight, pattern)
         layer.pattern = pattern
     return model
 
@@ -179,7 +179,7 @@ def prune_one_shot(
 # ---------------------------------------------------------------------------
 
 def _apply_grads(model: NoisePredictor, branch_grads: list[list], lr: float, lambda_w: float) -> None:
-    """Sum each layer's float64 gradients over the loss branches, round the sums to float32, then take one step.
+    """Sum each layer's float64 gradients over the loss branches, round the sums to float32, then step in place.
 
     A layer with no pattern skips the lambda_w term: under its all-ones mask the
     term is +0.0 for finite weights, and adding it changes no sum, which holds
@@ -189,8 +189,9 @@ def _apply_grads(model: NoisePredictor, branch_grads: list[list], lr: float, lam
     for layer, *per_branch in zip(model.layers, *branch_grads):
         gw = sum(gw for gw, _ in per_branch).astype(np.float32)
         gb = sum(gb for _, gb in per_branch).astype(np.float32)
-        layer.weight = ste_update(layer.weight, gw, layer.mask, lr, 0.0 if layer.pattern is None else lambda_w)
-        layer.bias = Tensor(layer.bias.data - lr * gb.astype(np.float64))
+        lam = 0.0 if layer.pattern is None else lambda_w
+        layer.weight.data[...] = ste_update(layer.weight, gw, layer.mask, lr, lam).data
+        layer.bias.data[...] = layer.bias.data - lr * gb.astype(np.float64)  # rounds to float32 as it is stored
 
 
 def _distill_branch(student, teacher, bank, sched, config, rng, wait=lambda: None):
@@ -234,24 +235,25 @@ def _distill_steps(student, teacher, bank, sched, config, rng):
     """The distillation branch as ``begin()`` and ``end()``: call ``begin()`` once a step's masks are
     projected, and ``end()`` for the step's loss and per-layer gradients.
 
-    With lambda2 > 0, ``FORK_MIN_STEPS`` steps or more and two ``fork_cpus()``,
-    a forked child owns ``rng`` and runs ``_distill_branch`` while this
-    process runs the noise branch.  Each step ``begin`` copies the student's
-    weights, biases and masks into shared memory and sends one byte; the
-    child answers with one byte once its loss and float64 gradients are in
-    shared memory.  The child does the float operations of the in-process
-    branch on bit-equal inputs, so no result changes.  Its exception is raised
-    here, as the in-process branch's would be; a killed child raises
-    ``TrainingError`` with its exit code.  Leaving the block, normally or by
-    an exception or Ctrl-C, kills the child without waiting for its step.
+    With lambda2 > 0, ``FORK_MIN_STEPS`` steps or more and two ``fork_cpus()``, a forked child owns
+    ``rng`` and runs ``_distill_branch`` while this process runs the noise branch.  The student's
+    layers are first rebound to shared copies of their weights, biases and masks, which each step
+    writes in place, so ``begin`` sends just one byte; the child answers with one once its loss and
+    float64 gradients are in shared memory.  The child does the float operations of the in-process
+    branch on bit-equal inputs, so no result changes.  Its exception is raised here, as the
+    in-process branch's would be; a killed child raises ``TrainingError`` with its exit code.
+    Leaving the block, normally or by an exception or Ctrl-C, kills the child without waiting for
+    its step.
     """
     if not (config.lambda2 > 0.0 and config.steps >= FORK_MIN_STEPS and fork_cpus() >= 2):
         branch = _distill_branch(student, teacher, bank, sched, config, rng)
         yield SimpleNamespace(begin=lambda: None, end=branch.__next__)
         return
+    for layer in student.layers:
+        w, b, m = (_shared_zeros(a.shape, a.dtype) for a in (layer.weight.data, layer.bias.data, layer.mask))
+        w[...], b[...], m[...] = layer.weight.data, layer.bias.data, layer.mask
+        layer.weight, layer.bias, layer.mask = Tensor(w), Tensor(b), m
     shapes = [layer.weight.shape for layer in student.layers]
-    params = [(_shared_zeros(s, np.float32), _shared_zeros(s[:1], np.float32), _shared_zeros(s, np.uint8))
-              for s in shapes]
     grads = [(_shared_zeros(s, np.float64), _shared_zeros(s[:1], np.float64)) for s in shapes]
     loss = _shared_zeros((), np.float32)
     go_r, go_w = os.pipe()
@@ -259,8 +261,6 @@ def _distill_steps(student, teacher, bank, sched, config, rng):
 
     def serve():
         os.close(go_w)  # so that wait() sees EOF once the parent is gone, however it ends
-        for layer, (w, b, m) in zip(student.layers, params):  # the student's parameters view params
-            layer.weight, layer.bias, layer.mask = Tensor(w), Tensor(b), m
 
         def wait():
             if os.read(go_r, 1) != b"s":
@@ -282,10 +282,6 @@ def _distill_steps(student, teacher, bank, sched, config, rng):
         os.close(done_w)
 
         def begin():
-            for layer, (w, b, m) in zip(student.layers, params):
-                w[...] = layer.weight.data
-                b[...] = layer.bias.data
-                m[...] = layer.mask
             with contextlib.suppress(BrokenPipeError):  # a worker that has exited is found by end()
                 go.write(b"s")
 
@@ -309,14 +305,14 @@ def transfer_train(
 ) -> tuple[NoisePredictor, list[dict]]:
     """Train ``student`` under ``config``: dense, plain STE, progressive or with distillation.
 
-    Per step: re-project masks as the schedule says, then minimize
-    ``lambda1 * mse(student, teacher)`` on noised teacher samples plus
-    ``lambda2 * mse(student, eps)`` on noised data, and apply the regularized
-    straight-through update.  The teacher is only read, never updated, and
-    may be None when lambda1 = 0.  With lambda1 = 0, lambda_w = 0 and a
-    single pattern this is exactly the vanilla STE baseline; with an empty
-    schedule it is plain dense SGD, which needs all-ones masks.  A student
-    carrying a transposable 2:4 mask re-projects its 2:4 masks transposably.
+    Per step: re-project masks as the schedule says, then minimize ``lambda1 * mse(student, teacher)``
+    on noised teacher samples plus ``lambda2 * mse(student, eps)`` on noised data, and apply the
+    regularized straight-through update in place in the student's arrays.  The distillation worker
+    first rebinds the student's layers to shared copies, so hold the model, not its arrays.  The teacher
+    is only read, must share no memory with the student, and may be None when lambda1 = 0.  With
+    lambda1 = 0, lambda_w = 0 and a single pattern this is exactly the vanilla STE baseline; with an
+    empty schedule it is plain dense SGD, which needs all-ones masks.  A student carrying a
+    transposable 2:4 mask re-projects its 2:4 masks transposably.
 
     ``bank`` is a teacher sample pool shared across runs, as a sweep shares
     one; without it, a pool of ``teacher_bank`` samples is drawn from the
@@ -334,6 +330,9 @@ def transfer_train(
         a.weight.shape != b.weight.shape for a, b in zip(student.layers, teacher.layers)
     ):
         raise ArchitectureError("student and teacher architectures differ")
+    elif any(np.may_share_memory(a, b) for t in teacher.layers for s in student.layers
+             for a in (t.weight.data, t.bias.data, t.mask) for b in (s.weight.data, s.bias.data, s.mask)):
+        raise ConfigError("the teacher shares parameter memory with the student, which trains in place")
     if not config.schedule:
         for layer in student.layers:
             if layer.mask.min() != 1:

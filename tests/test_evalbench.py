@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from sparsedm import evalbench
+from conftest import model_checksum
+from sparsedm import evalbench, trainer
 from sparsedm.diffusion import NoisePredictor, ddpm_sample, make_schedule, toy_batch
 from sparsedm.errors import ConfigError
 from sparsedm.evalbench import (
@@ -172,6 +174,21 @@ def test_sweep_structure_small():
         assert r["macs_dense"] > r["macs_sparse"] > 0
         assert r["energy_distance"] >= 0
     assert rows[0]["macs_sparse"] > rows[1]["macs_sparse"]
+
+
+def test_sweep_leaves_its_teacher_unchanged(monkeypatch):
+    """Each entry trains a copy of the teacher in place: in this process at 4 steps, with the forked
+    distillation worker at 12 steps on two CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    workers, real = [], trainer._forked
+    monkeypatch.setattr(trainer, "_forked", lambda *args: workers.append(1) or real(*args))
+    teacher = NoisePredictor.create(stream(4, "init"), hidden=(32,))
+    before = model_checksum(teacher)
+    for steps, forked in ((4, 0), (12, 1)):
+        config = TrainConfig(steps=steps, batch_size=16, lambda1=0.5, lambda2=0.5, teacher_bank=32, seed=4)
+        sweep_ratios(teacher, [NMPattern(2, 4)], "gauss8", make_schedule(5, 1e-4, 0.02), config, n_eval=32)
+        assert model_checksum(teacher) == before
+        assert len(workers) == forked
 
 
 def test_sweep_deterministic_and_order_independent():

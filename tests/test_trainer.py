@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_close_rel, fd_grad
+from conftest import assert_close_rel, fd_grad, model_checksum
+from sparsedm import trainer
 from sparsedm.checkpoint import CKPT_NAME, save_model
 from sparsedm.diffusion import DATA_DIM, NoisePredictor, make_schedule, time_embedding
 from sparsedm.errors import ArchitectureError, ConfigError, PatternError, TrainingError
@@ -360,15 +362,65 @@ def test_transfer_needs_teacher_for_distillation():
         transfer_train(_model(), None, "gauss8", make_schedule(10, 1e-4, 0.02), config)
 
 
-def test_transfer_teacher_unchanged():
-    teacher = _model(1)
-    before = _checksum(teacher)
+def test_transfer_teacher_unchanged(monkeypatch):
+    # 10 steps run in this process; 12 (FORK_MIN_STEPS or more) on two CPUs fork the distillation
+    # worker, and the student then trains in shared copies of its arrays, which the worker reads
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    workers, real = [], trainer._forked
+    monkeypatch.setattr(trainer, "_forked", lambda *args: workers.append(1) or real(*args))
+    for steps, forked in ((10, 0), (12, 1)):
+        teacher = _model(1)
+        before = model_checksum(teacher)
+        student = teacher.copy()
+        prune_one_shot(student, NMPattern(2, 4))
+        sched = make_schedule(10, 1e-4, 0.02)
+        config = TrainConfig(steps=steps, lambda1=0.5, lambda2=0.5, seed=1, schedule=(NMPattern(2, 4),))
+        transfer_train(student, teacher, "gauss8", sched, config)
+        assert model_checksum(teacher) == before
+        assert len(workers) == forked
+
+
+def _arrays(model):
+    return [a for layer in model.layers for a in (layer.weight.data, layer.bias.data, layer.mask)]
+
+
+def test_training_writes_parameters_in_place():
+    """Pruning and an in-process transfer run store into the arrays the layers already hold."""
+    teacher = _model(6)
     student = teacher.copy()
+    arrays = _arrays(student)
     prune_one_shot(student, NMPattern(2, 4))
-    sched = make_schedule(10, 1e-4, 0.02)
-    config = TrainConfig(steps=10, lambda1=0.5, lambda2=0.5, seed=1, schedule=(NMPattern(2, 4),))
-    transfer_train(student, teacher, "gauss8", sched, config)
-    assert _checksum(teacher) == before
+    assert all(a is b for a, b in zip(_arrays(student), arrays, strict=True))
+    before = model_checksum(student)
+    config = TrainConfig(steps=4, lambda1=0.5, lambda2=0.5, seed=6, teacher_bank=64, schedule=(NMPattern(2, 4),))
+    transfer_train(student, teacher, "gauss8", make_schedule(10, 1e-4, 0.02), config)
+    assert all(a is b for a, b in zip(_arrays(student), arrays, strict=True))
+    assert model_checksum(student) != before
+
+
+def _sharing_teacher(student, share):
+    if share == "model":
+        return student
+    return NoisePredictor([
+        MaskedLinear(l.name, l.weight, l.bias, l.mask.copy(), l.pattern) if share == "tensors"
+        else MaskedLinear(l.name, Tensor(l.weight.data.copy()), Tensor(l.bias.data.copy()), l.mask[:], l.pattern)
+        for l in student.layers
+    ])
+
+
+@pytest.mark.parametrize("share", ["model", "tensors", "mask-view"])
+def test_transfer_refuses_a_teacher_that_shares_memory_with_the_student(share, monkeypatch):
+    # the student trains in place, so such a teacher would change under it; on two CPUs the forked
+    # worker would also read the student's arrays while this process writes them
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    student = _model(7)
+    prune_one_shot(student, NMPattern(2, 4))
+    teacher = _sharing_teacher(student, share)
+    before = model_checksum(student)
+    config = TrainConfig(steps=12, lambda1=0.5, lambda2=0.5, seed=7, teacher_bank=64, schedule=(NMPattern(2, 4),))
+    with pytest.raises(ConfigError, match="shares parameter memory with the student"):
+        transfer_train(student, teacher, "gauss8", make_schedule(10, 1e-4, 0.02), config)
+    assert model_checksum(student) == before
 
 
 def test_transfer_masks_valid_after_run():
