@@ -8,6 +8,15 @@ accumulate in float64 and store float32, which keeps finite-difference
 checks stable at desk scale.  All loops run in a fixed order, so replaying
 the same step is bit-identical.  These ops check no shape: their callers pass
 operands that chain, non-empty, as checked where the data enters.
+
+SiLU has two forms.  Without a cache (every tape-free forward: sampling,
+eval, the teacher bank and the distillation teacher) it is the quotient
+``x / (1 + exp(-x))``, one exp and one divide per element.  With a cache
+(training) it stays ``x * _sigmoid64(x)``, two exps per element:
+``backward`` reads that float64 sigmoid, which the quotient never forms,
+and the one-exp select forms that would form it were slower.  Both round
+once to float32, and ``scripts/silu_bits.py`` checks that they store the
+same bytes for every float32 input.
 """
 from __future__ import annotations
 
@@ -68,20 +77,36 @@ SILU_BLOCK = 1 << 15
 
 
 def silu(x: np.ndarray, cache: list | None = None) -> np.ndarray:
-    """``x * sigmoid(x)``, rounded once to float32; a list ``cache`` receives float64 ``(x, sigmoid)``."""
-    flat = x.reshape(-1) if cache is None else _f64(x.reshape(-1))  # backward reads the float64 input
+    """``x * sigmoid(x)``, rounded once to float32; a list ``cache`` receives float64 ``(x, sigmoid)``.
+
+    Precondition: without a cache, ``x`` is a float32 activation, as every
+    caller passes; that is the domain on which ``scripts/silu_bits.py``
+    checks the quotient form against the cached one, byte for byte.
+    """
+    if cache is None:
+        flat = x.reshape(-1)
+        out = np.empty(flat.shape, np.float32)
+        # exp(-x) overflows to inf below about -709, where x / inf is the -0.0 the product form gives
+        with np.errstate(over="ignore"):
+            for s in range(0, flat.size, SILU_BLOCK):
+                x64 = _f64(flat[s : s + SILU_BLOCK])
+                den = np.negative(x64)
+                np.exp(den, out=den)
+                den += 1.0
+                # the float64 quotient rounds to float32 as it is stored
+                out[s : s + SILU_BLOCK] = np.divide(x64, den, out=den)
+        return out.reshape(x.shape)
+    flat = _f64(x.reshape(-1))  # backward reads the float64 input
     out = np.empty(flat.shape, np.float32)
-    sig = np.empty(flat.shape) if cache is not None else None
+    sig = np.empty(flat.shape)
     for s in range(0, flat.size, SILU_BLOCK):
-        x64 = _f64(flat[s : s + SILU_BLOCK])
+        x64 = flat[s : s + SILU_BLOCK]
         prod = _sigmoid64(x64)
-        if sig is not None:
-            sig[s : s + SILU_BLOCK] = prod
+        sig[s : s + SILU_BLOCK] = prod
         # the float64 product rounds to float32 as it is stored
         prod *= x64
         out[s : s + SILU_BLOCK] = prod
-    if cache is not None:
-        cache.append((flat.reshape(x.shape), sig.reshape(x.shape)))
+    cache.append((flat.reshape(x.shape), sig.reshape(x.shape)))
     return out.reshape(x.shape)
 
 

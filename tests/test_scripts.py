@@ -62,6 +62,13 @@ def test_chain_digests_cover_every_file_and_repeat(tmp_path):
     assert not moved, f"output bytes differ from tests/chain_digests.txt in {moved}"
 
 
+def test_silu_bits_script_finds_no_mismatch(tmp_path):
+    """Every 4099th float32 bit pattern, about a million, gives the same bytes from both SiLU forms."""
+    out = _run_python([str(ROOT / "scripts" / "silu_bits.py"), "4099"], tmp_path).splitlines()
+    assert out[0].startswith("# python ")
+    assert out[1] == "1047809 float32 bit patterns (stride 4099): 0 mismatches"
+
+
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 END_TO_END = [m["name"] for m in BENCHMARK["end_to_end"]]

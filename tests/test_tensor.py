@@ -163,6 +163,26 @@ def test_silu_large_magnitude():
     assert (np.abs(out[~pos]) < tiny).all() and (np.abs(grad[~pos]) < tiny).all()
 
 
+SILU_F32_EDGES = np.array([
+    0.0, -0.0, np.finfo(np.float32).smallest_subnormal, -np.finfo(np.float32).smallest_subnormal,
+    1e-30, -1e-30, -88.7, -103.9, -709.0, -710.0, -1e4, np.finfo(np.float32).max, -np.finfo(np.float32).max,
+], np.float32)
+
+
+def test_silu_quotient_equals_product_on_float32_edges():
+    """Without a cache, silu stores the product form's bytes where exp(-x) overflows or x is subnormal,
+    and warns of nothing on finite input: the overflow is silenced inside silu, not by a caller."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, want = silu(SILU_F32_EDGES), silu(SILU_F32_EDGES, [])
+    assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+    special = np.array([np.inf, -np.inf, np.nan], np.float32)
+    with np.errstate(invalid="ignore"):
+        got, want = silu(special), silu(special, [])
+    # silu(inf) = inf; -inf * 0 and NaN give NaN
+    assert got[0] == want[0] == np.inf and np.isnan(got[1:]).all() and np.isnan(want[1:]).all()
+
+
 def test_silu_derivative_fd():
     _out, grad = _silu_input_grad(np.array([1.0], np.float32))
     g = grad[0]
