@@ -172,9 +172,12 @@ def inference_forward(model: NoisePredictor, n_steps: int, compressed: bool = Fa
     300-step teachers (2,000 batches each).
     """
     if compressed:
-        patterns = {layer.pattern for layer in model.layers} - {None}
-        if patterns != {NMPattern(2, 4)}:
-            raise CompressedPathError("the compressed path needs a 2:4 model; prune to 2:4 first")
+        # named, since pruning a pruned model to 2:4 keeps the old mask of a layer 4 does not divide
+        others = ", ".join(f"{layer.name} is {layer.pattern}" for layer in model.layers
+                           if layer.pattern not in (None, NMPattern(2, 4)))
+        if others or all(layer.pattern is None for layer in model.layers):
+            raise CompressedPathError(f"the compressed path needs a 2:4 model, but {others or 'no layer is masked'}; "
+                                      "prune the dense model to 2:4")
     first, *rest = model.layers
     w1 = _f64(first.effective_weight())
     w_x = w1[:, :DATA_DIM]

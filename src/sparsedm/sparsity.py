@@ -31,7 +31,7 @@ class NMPattern:
     m: int
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and isinstance(self.m, int)):
+        if not (type(self.n) is int and type(self.m) is int):  # not isinstance: a bool is an int
             raise PatternError(f"pattern needs integers, got {self.n!r}:{self.m!r}")
         if not (1 <= self.n <= self.m):
             raise PatternError(f"pattern {self.n}:{self.m} violates 1 <= n <= m")

@@ -9,7 +9,7 @@ regularized straight-through update
 so kept positions see the plain gradient while pruned positions decay toward
 zero.  Dense pretraining is the case with no teacher term, an empty mask
 schedule and all-ones masks, where the lambda_w term is exactly zero, so
-``_apply_grads`` skips it for every layer with no pattern.
+``ste_update`` skips it for every layer with no pattern.
 
 The mask schedule is ``TrainConfig.schedule``: pattern ``i`` is active from
 step ``i * switch_every`` on, the last one to the end.  Masks re-project from
@@ -60,10 +60,11 @@ class TrainConfig:
     freeze_masks: bool = False  # project masks only at each pattern's first step
 
     def __post_init__(self):
-        if not isinstance(self.steps, int) or self.steps < 0:
-            raise ConfigError(f"steps must be a non-negative integer, got {self.steps!r}")
-        if not isinstance(self.batch_size, int) or self.batch_size < 1:
-            raise ConfigError(f"batch_size must be a positive integer, got {self.batch_size!r}")
+        for name, low in (("steps", 0), ("batch_size", 1), ("seed", 0), ("teacher_bank", 1), ("switch_every", 1)):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:  # not isinstance: a bool is an int
+                kind = "non-negative" if low == 0 else "positive"
+                raise ConfigError(f"{name} must be a {kind} integer, got {value!r}")
         if not (self.lr > 0.0) or not math.isfinite(self.lr):
             raise ConfigError(f"lr must be positive and finite, got {self.lr!r}")
         if self.lr_schedule not in LR_SCHEDULES:
@@ -75,10 +76,6 @@ class TrainConfig:
                 raise ConfigError(f"{name} must lie in [0, 1], got {lam!r}")
         if self.lambda1 + self.lambda2 <= 0.0:
             raise ConfigError("lambda1 + lambda2 must be positive, the loss would vanish")
-        if not isinstance(self.teacher_bank, int) or self.teacher_bank < 1:
-            raise ConfigError(f"teacher_bank must be a positive integer, got {self.teacher_bank!r}")
-        if not isinstance(self.switch_every, int) or self.switch_every < 1:
-            raise ConfigError(f"switch_every must be a positive integer, got {self.switch_every!r}")
         if not all(isinstance(p, NMPattern) for p in self.schedule):
             raise ConfigError(f"schedule must hold N:M patterns, got {self.schedule!r}")
         need = (len(self.schedule) - 1) * self.switch_every + 1
@@ -111,22 +108,30 @@ class TrainConfig:
 # update rules
 # ---------------------------------------------------------------------------
 
-def ste_update(w: Tensor, grad: np.ndarray, mask: np.ndarray, lr: float, lambda_w: float) -> Tensor:
-    """One regularized straight-through step; float64 math, float32 result.
+def ste_update(layer: MaskedLinear, grads: list, lr: float, lambda_w: float) -> None:
+    """One regularized straight-through step of a layer's weight and bias, written into their arrays.
 
-    The lambda_w term is exactly zero at kept positions (W equals W*mask
-    there), so only pruned entries feel the pull toward zero.  The float64
-    steps of ``w - lr * (g + lambda_w * (w - w * mask))`` run in that order, in place on copies.
+    ``grads`` holds each loss branch's float64 ``(dW, db)``; each sum rounds to
+    float32.  The weight steps to ``w - lr * (g + lambda_w * (w - w * mask))`` and
+    the bias to ``b - lr * g_b``, in float64 and in that order, each rounded once
+    to float32 as it is stored.  The lambda_w term is exactly zero at kept
+    positions (W equals W*mask there), so only pruned entries feel the pull
+    toward zero.  A layer with no pattern skips it: under its all-ones mask the
+    term is +0.0 for finite weights, and adding it changes no sum, which holds no
+    -0.0 (``backward`` adds each gradient to 0.0).  A non-finite weight fails a
+    loss or weight check before any checkpoint is written.
     """
-    w64 = w.data.astype(np.float64)
-    g64 = grad.astype(np.float64)
-    if lambda_w:
-        decay = np.multiply(w64, mask)
+    w64 = layer.weight.data.astype(np.float64)
+    g64 = sum(g for g, _ in grads).astype(np.float32).astype(np.float64)
+    gb = sum(g for _, g in grads).astype(np.float32)
+    if lambda_w and layer.pattern is not None:
+        decay = np.multiply(w64, layer.mask)
         np.subtract(w64, decay, out=decay)
         decay *= lambda_w
         g64 += decay
     g64 *= lr
-    return Tensor(np.subtract(w64, g64, out=g64))
+    np.subtract(w64, g64, out=layer.weight.data, casting="same_kind")
+    np.subtract(layer.bias.data, lr * gb.astype(np.float64), out=layer.bias.data, casting="same_kind")
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +156,11 @@ def prune_one_shot(
 ) -> NoisePredictor:
     """Project masks from current magnitudes into each layer's mask array; weights stay untouched.
 
-    Layers whose input width the group size does not divide keep their dense
-    all-ones mask (the toy predictor's first layer is 66 wide, which no
-    power-of-two group size divides).  ``strict`` turns that skip into an
-    error; a pattern that fits no layer at all always errors.
+    Layers whose input width the group size does not divide keep their current
+    mask and pattern: all-ones and None in a dense model, but an earlier
+    pattern's in a pruned one (the toy predictor's first layer is 66 wide,
+    which no power-of-two group size divides).  ``strict`` turns that skip into
+    an error; a pattern that fits no layer at all always errors.
     """
     fits = [layer for layer in model.layers if layer.in_features % pattern.m == 0]
     if not fits:
@@ -177,22 +183,6 @@ def prune_one_shot(
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
-
-def _apply_grads(model: NoisePredictor, branch_grads: list[list], lr: float, lambda_w: float) -> None:
-    """Sum each layer's float64 gradients over the loss branches, round the sums to float32, then step in place.
-
-    A layer with no pattern skips the lambda_w term: under its all-ones mask the
-    term is +0.0 for finite weights, and adding it changes no sum, which holds
-    no -0.0 (``backward`` adds each gradient to 0.0).  A non-finite weight
-    fails a loss or weight check before any checkpoint is written.
-    """
-    for layer, *per_branch in zip(model.layers, *branch_grads):
-        gw = sum(gw for gw, _ in per_branch).astype(np.float32)
-        gb = sum(gb for _, gb in per_branch).astype(np.float32)
-        lam = 0.0 if layer.pattern is None else lambda_w
-        layer.weight.data[...] = ste_update(layer.weight, gw, layer.mask, lr, lam).data
-        layer.bias.data[...] = layer.bias.data - lr * gb.astype(np.float64)  # rounds to float32 as it is stored
-
 
 def _distill_branch(student, teacher, bank, sched, config, rng, wait=lambda: None):
     """Yield each step's distillation loss (float32) and float64 ``(dW, db)`` per layer, in layer order.
@@ -349,6 +339,8 @@ def transfer_train(
 
     trace: list[dict] = []
     distill = _distill_steps(student, teacher, bank, sched, config, distill_rng) if use_distill else None
+    # one BLAS thread even with no worker: 500 dense steps (hidden 128,128, T = 100) took 0.82 s held
+    # against 0.99 s with OpenBLAS's own threads (medians of 6 alternating processes, 2-core VM)
     with _one_blas_thread(), distill or contextlib.nullcontext() as branch:
         for step in range(config.steps):
             pattern = config.pattern_at(step)
@@ -375,7 +367,8 @@ def transfer_train(
             value_total = float(sum(loss * np.float32(lam) for lam, loss, _ in terms))
             if not math.isfinite(value_total):
                 raise TrainingError(f"loss diverged at step {step}: {value_total}")
-            _apply_grads(student, [per_layer for *_, per_layer in terms], lr, config.lambda_w)
+            for layer, *per_branch in zip(student.layers, *(per_layer for *_, per_layer in terms)):
+                ste_update(layer, per_branch, lr, config.lambda_w)
             trace.append(
                 {
                     "step": step,

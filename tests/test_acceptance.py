@@ -181,17 +181,18 @@ def test_a05_regularized_update_decay_law(rng):
     lr, lam = 0.1, 0.01
     w = Tensor(rng.standard_normal((16, 16)).astype(np.float32) * 0.5)
     mask = project_mask(w, NMPattern(2, 4))
-    zero = np.zeros((16, 16), dtype=np.float32)
+    layer = MaskedLinear("fc", Tensor(w.data.copy()), Tensor(np.zeros(16)), mask, NMPattern(2, 4))
+    zero = [(np.zeros((16, 16)), np.zeros(16))]
     kept = mask == 1
-    cur = w
     for _ in range(100):
-        nxt = ste_update(cur, zero, mask, lr, lam)
-        assert np.array_equal(nxt.data[kept], cur.data[kept])
-        expect = cur.data[~kept].astype(np.float64) * (1.0 - lr * lam)
-        assert float(np.abs(nxt.data[~kept] - expect).max()) <= 1e-6
-        cur = nxt
+        cur = layer.weight.data.copy()
+        ste_update(layer, zero, lr, lam)
+        nxt = layer.weight.data
+        assert np.array_equal(nxt[kept], cur[kept])
+        expect = cur[~kept].astype(np.float64) * (1.0 - lr * lam)
+        assert float(np.abs(nxt[~kept] - expect).max()) <= 1e-6
     drift = float(np.abs(
-        cur.data[~kept] - w.data[~kept].astype(np.float64) * (1.0 - lr * lam) ** 100
+        layer.weight.data[~kept] - w.data[~kept].astype(np.float64) * (1.0 - lr * lam) ** 100
     ).max())
     _report(5, 1.0, t(),
             "zero-gradient updates leave kept weights untouched and shrink pruned ones "

@@ -277,6 +277,21 @@ def test_compressed_sampling_needs_24_model(pattern):
         ddpm_sample(model, 4, make_schedule(5), stream(0, "sample"), compressed=True)
 
 
+def test_compressed_path_names_each_layer_that_is_not_24():
+    # 2:4 fits fc2 and fc3 but not the 66-wide fc1, which keeps the 1:2 mask it was pruned to first
+    model = NoisePredictor.create(stream(0, "init"), hidden=(32, 32))
+    with pytest.raises(CompressedPathError, match="but no layer is masked; prune the dense model to 2:4$"):
+        inference_forward(model, 5, compressed=True)
+    prune_one_shot(model, NMPattern(1, 2))
+    prune_one_shot(model, NMPattern(2, 4))
+    assert [str(layer.pattern) for layer in model.layers] == ["1:2", "2:4", "2:4"]
+    with pytest.raises(CompressedPathError, match="needs a 2:4 model, but fc1 is 1:2; prune the dense model to 2:4$"):
+        inference_forward(model, 5, compressed=True)
+    prune_one_shot(model, NMPattern(1, 4))
+    with pytest.raises(CompressedPathError, match="but fc1 is 1:2, fc2 is 1:4, fc3 is 1:4;"):
+        inference_forward(model, 5, compressed=True)
+
+
 def _pin_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 

@@ -35,7 +35,8 @@ def test_pattern_sparsity_values():
     assert NMPattern(31, 32).sparsity == 1 - 31 / 32
 
 
-@pytest.mark.parametrize("n,m", [(0, 4), (5, 4), (-1, 2), (2, 0)])
+# a bool is an int to isinstance, and NMPattern(True, 4) would save as "True:4", which no load parses
+@pytest.mark.parametrize("n,m", [(0, 4), (5, 4), (-1, 2), (2, 0), (True, 4), (1, True)])
 def test_pattern_rejects_bad_counts(n, m):
     with pytest.raises(PatternError):
         NMPattern(n, m)

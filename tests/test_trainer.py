@@ -17,7 +17,7 @@ from sparsedm.rng import stream
 from sparsedm.evalbench import DEFAULT_SWEEP_PATTERNS
 from sparsedm.sparsity import MaskedLinear, NMPattern, compress_2_4, is_transposable, project_mask, satisfies
 from sparsedm.tensor import Tensor, backward, mse_grad
-from sparsedm.trainer import TrainConfig, _apply_grads, prune_one_shot, ste_update, transfer_train
+from sparsedm.trainer import TrainConfig, prune_one_shot, ste_update, transfer_train
 
 
 def _model(seed=0, hidden=(32,)):
@@ -36,17 +36,29 @@ def _checksum(model):
 # ste_update
 # ---------------------------------------------------------------------------
 
+def _layer(w0, mask, pattern, b0=None):
+    """A layer holding a float32 copy of ``w0`` and of ``b0`` (zeros by default)."""
+    b0 = np.zeros(len(w0), np.float32) if b0 is None else b0
+    return MaskedLinear("fc", Tensor(w0.copy()), Tensor(b0.copy()), mask, pattern)
+
+
+def _step(layer, g0, lr, lam):
+    """``ste_update`` of one loss branch's float64 ``(g0, 0)``; returns the layer's weight."""
+    ste_update(layer, [(g0.astype(np.float64), np.zeros(layer.out_features))], lr, lam)
+    return layer.weight.data
+
+
 def test_ste_update_zero_grad_decay(rng):
     w0 = rng.standard_normal((4, 8)).astype(np.float32)
     mask = project_mask(Tensor(w0), NMPattern(2, 4))
     zero = np.zeros_like(w0)
     lr, lam = 0.1, 0.05
-    w = ste_update(Tensor(w0), zero, mask, lr, lam)
+    w = _step(_layer(w0, mask, NMPattern(2, 4)), zero, lr, lam)
     kept = mask == 1
-    assert np.array_equal(w.data[kept], w0[kept])
+    assert np.array_equal(w[kept], w0[kept])
     pruned = ~kept
     want = w0[pruned].astype(np.float64) * (1 - lr * lam)
-    assert np.abs(w.data[pruned] - want).max() <= 1e-7
+    assert np.abs(w[pruned] - want).max() <= 1e-7
 
 
 def test_ste_update_kept_positions_match_unregularized(rng):
@@ -54,19 +66,19 @@ def test_ste_update_kept_positions_match_unregularized(rng):
     w0 = rng.standard_normal((4, 8)).astype(np.float32)
     g0 = rng.standard_normal((4, 8)).astype(np.float32)
     mask = project_mask(Tensor(w0), NMPattern(1, 4))
-    with_reg = ste_update(Tensor(w0), g0, mask, 0.07, 0.3)
-    without = ste_update(Tensor(w0), g0, mask, 0.07, 0.0)
+    with_reg = _step(_layer(w0, mask, NMPattern(1, 4)), g0, 0.07, 0.3)
+    without = _step(_layer(w0, mask, NMPattern(1, 4)), g0, 0.07, 0.0)
     kept = mask == 1
-    assert np.array_equal(with_reg.data[kept], without.data[kept])
-    assert not np.array_equal(with_reg.data[~kept], without.data[~kept])
+    assert np.array_equal(with_reg[kept], without[kept])
+    assert not np.array_equal(with_reg[~kept], without[~kept])
 
 
 def test_ste_update_single_row_hand_values():
-    w = Tensor(np.array([[1.0, -2.0, 0.5, 4.0]], np.float32))
+    w0 = np.array([[1.0, -2.0, 0.5, 4.0]], np.float32)
     g = np.array([[0.1, 0.2, -0.3, 0.4]], np.float32)
     mask = np.array([[0, 1, 0, 1]], np.uint8)
     lr, lam = 0.01, 0.5
-    got = ste_update(w, g, mask, lr, lam).data
+    got = _step(_layer(w0, mask, NMPattern(2, 4)), g, lr, lam)
 
     want = np.empty(4)
     for j, (wv, gv, mv) in enumerate(zip([1.0, -2.0, 0.5, 4.0], [0.1, 0.2, -0.3, 0.4], [0, 1, 0, 1])):
@@ -79,7 +91,7 @@ def test_ste_update_matches_closed_form_random(rng):
     g0 = rng.standard_normal((8, 16)).astype(np.float32)
     mask = project_mask(Tensor(w0), NMPattern(2, 4))
     lr, lam = 0.03, 0.02
-    got = ste_update(Tensor(w0), g0, mask, lr, lam).data
+    got = _step(_layer(w0, mask, NMPattern(2, 4)), g0, lr, lam)
     w64 = w0.astype(np.float64)
     want = w64 - lr * (g0.astype(np.float64) + lam * (w64 - w64 * mask))
     assert np.abs(got.astype(np.float64) - want).max() <= 1e-6
@@ -87,29 +99,40 @@ def test_ste_update_matches_closed_form_random(rng):
 
 @pytest.mark.parametrize("lam", [0.0, 1e-4, 0.3])
 def test_ste_update_is_the_plain_expression_and_leaves_its_inputs(rng, lam):
+    """It writes the plain float64 expression, rounded once, into the layer's own weight and bias
+    arrays, and leaves its other inputs, the gradients and the mask, unchanged."""
     w0 = rng.standard_normal((16, 32)).astype(np.float32)
     w0[0, :4] = [0.0, -0.0, 1e-38, -3.0e38]
-    g0 = rng.standard_normal((16, 32)).astype(np.float32)
+    g0 = rng.standard_normal((16, 32)).astype(np.float32).astype(np.float64)
     mask = project_mask(Tensor(w0), NMPattern(1, 4))
-    w, saved = Tensor(w0), (w0.copy(), g0.copy(), mask.copy())
-    got = ste_update(w, g0, mask, 0.07, lam)
-    w64, g64 = w0.astype(np.float64), g0.astype(np.float64)
-    want = np.float32(w64 - 0.07 * (g64 + lam * (w64 - w64 * mask)))
-    assert np.array_equal(got.data.view(np.uint32), want.view(np.uint32))
-    assert isinstance(got, Tensor) and got is not w
-    assert not any(np.shares_memory(got.data, a) for a in (w.data, g0, mask))
-    for before, after in zip(saved, (w.data, g0, mask)):
+    # the bias gradient is not a float32 value, so its sum must round
+    b0, gb = rng.standard_normal(16).astype(np.float32), rng.standard_normal(16)
+    layer = _layer(w0, mask, NMPattern(1, 4), b0)
+    arrays = (layer.weight.data, layer.bias.data, layer.mask)
+    grads = [(g0, gb)]
+    saved = (g0.copy(), gb.copy(), mask.copy())
+    ste_update(layer, grads, 0.07, lam)
+    w64 = w0.astype(np.float64)
+    want_w = np.float32(w64 - 0.07 * (g0 + lam * (w64 - w64 * mask)))
+    want_b = np.float32(b0.astype(np.float64) - 0.07 * gb.astype(np.float32).astype(np.float64))
+    assert all(a is b for a, b in zip((layer.weight.data, layer.bias.data, layer.mask), arrays))
+    assert np.array_equal(layer.weight.data.view(np.uint32), want_w.view(np.uint32))
+    assert np.array_equal(layer.bias.data.view(np.uint32), want_b.view(np.uint32))
+    assert grads[0][0] is g0 and grads[0][1] is gb
+    for before, after in zip(saved, (g0, gb, mask)):
         assert np.array_equal(before.view(np.uint8), after.view(np.uint8))
 
 
 def test_ste_update_lambda_w_term_is_exactly_zero_under_an_all_ones_mask(rng):
+    """A 1:1 layer takes the lambda_w term and a layer with no pattern skips it: the same bytes."""
     w0 = rng.standard_normal((8, 66)).astype(np.float32)
     w0[0, :3] = [0.0, -0.0, 2.5e38]
     g0 = rng.standard_normal((8, 66)).astype(np.float32)
     g0[0, 3] = 0.0
     ones = np.ones(w0.shape, np.uint8)
-    with_term = ste_update(Tensor(w0), g0, ones, 0.2, 1e-4).data
-    assert np.array_equal(with_term.view(np.uint32), ste_update(Tensor(w0), g0, ones, 0.2, 0.0).data.view(np.uint32))
+    with_term = _step(_layer(w0, ones, NMPattern(1, 1)), g0, 0.2, 1e-4)
+    skipped = _step(_layer(w0, ones, None), g0, 0.2, 1e-4)
+    assert np.array_equal(with_term.view(np.uint32), skipped.view(np.uint32))
 
 
 def test_lambda_w_never_changes_dense_training_bytes(tmp_path):
@@ -146,6 +169,12 @@ def test_config_validation():
             TrainConfig(steps=10, lambda_w=lambda_w)
     with pytest.raises(ConfigError):
         TrainConfig(steps=10, switch_every=0)
+    for field in ("steps", "batch_size", "seed", "teacher_bank", "switch_every"):
+        with pytest.raises(ConfigError, match=f"{field} must be a .* integer, got True"):
+            TrainConfig(**{"steps": 10, field: True})
+    for seed in (-1, 1.5):  # numpy's SeedSequence would refuse them only at the first draw, untyped
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            TrainConfig(steps=10, seed=seed)
     with pytest.raises(ConfigError):
         TrainConfig(steps=10, schedule=("2:4",))
     # a replaced config is constructed, and so checked, again
@@ -510,7 +539,7 @@ def test_transfer_reduces_to_vanilla_ste_short():
 @given(st.integers(2, 3), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(0, 2 ** 31 - 1))
 def test_two_branch_grads_sum_to_fd_of_weighted_loss(depth, lam1, lam2, seed):
     # a transfer step's two loss branches, each through backward, summed per layer by
-    # _apply_grads; at lr 1 on an all-zero copy of the weights, the step it takes is
+    # ste_update; at lr 1 on an all-zero copy of the weights, the step it takes is
     # minus the summed float32 gradient
     assume(lam1 + lam2 > 0.0)
     r = np.random.default_rng(seed)
@@ -537,7 +566,8 @@ def test_two_branch_grads_sum_to_fd_of_weighted_loss(depth, lam1, lam2, seed):
     for layer in step.layers:
         layer.weight = Tensor(np.zeros(layer.weight.shape))
         layer.bias = Tensor(np.zeros(layer.bias.shape))
-    _apply_grads(step, grads, lr=1.0, lambda_w=0.0)
+    for layer, *per_branch in zip(step.layers, *grads):
+        ste_update(layer, per_branch, lr=1.0, lambda_w=0.0)
 
     # independent float64 loss of the effective weights, so pruned positions get the STE gradient
     h0s = [np.concatenate([x, time_embedding(t, n_steps, temb)], axis=1).astype(np.float64)
